@@ -15,30 +15,12 @@ from math import comb, cos, isqrt, pi, sqrt
 from .core import DenseMatrix
 from .errors import ParameterError, SingularMatrixError
 from .families import FamilyDescriptor, ParamSpec, _set_builtin_ids, construct, register_family
-from .scalars import FLOAT64, RATIONAL64, Rational64, from_int, one, ratio, zero
+from .scalars import FLOAT64, RATIONAL64, Rational64, exact, from_exact, from_int, one, ratio, zero
 
 
 def _dense_from_fn(n, kind, fn):
     data = [fn(i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
     return DenseMatrix(n, n, data, kind)
-
-
-def _exact(value) -> Fraction:
-    # Fraction view of a scalar parameter; closed forms compute with unbounded
-    # integers internally, only the final value is range-checked
-    if isinstance(value, Rational64):
-        return value.as_fraction()
-    return Fraction(value)
-
-
-def _from_fraction(kind, value: Fraction):
-    if kind == RATIONAL64:
-        return Rational64(value.numerator, value.denominator)
-    return float(value)
-
-
-def _square_dims(params):
-    return (params["n"], params["n"])
 
 
 # -- hilbert ------------------------------------------------------------------
@@ -84,10 +66,7 @@ def _hilbert_det(h):
     n = h.rows
     if n == 0:
         return one(h.scalar_kind)
-    d = _inv_hilbert_det_int(n)
-    if h.scalar_kind == RATIONAL64:
-        return Rational64(1, d)
-    return float(Fraction(1, d))
+    return from_exact(h.scalar_kind, Fraction(1, _inv_hilbert_det_int(n)), "determinant")
 
 
 def _hilbert_inverse(h):
@@ -121,10 +100,7 @@ def _inversehilbert_det(h):
     n = h.rows
     if n == 0:
         return one(h.scalar_kind)
-    d = _inv_hilbert_det_int(n)
-    if h.scalar_kind == RATIONAL64:
-        return Rational64(d)
-    return float(d)
+    return from_exact(h.scalar_kind, _inv_hilbert_det_int(n), "determinant")
 
 
 def _inversehilbert_inverse(h):
@@ -179,8 +155,8 @@ def _cauchy_det(h):
     # prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)
     kind = h.scalar_kind
     if kind == RATIONAL64:
-        x = [_exact(v) for v in h.params["x"]]
-        y = [_exact(v) for v in h.params["y"]]
+        x = [exact(v) for v in h.params["x"]]
+        y = [exact(v) for v in h.params["y"]]
         num, den = Fraction(1), Fraction(1)
     else:
         x, y = list(h.params["x"]), list(h.params["y"])
@@ -193,7 +169,7 @@ def _cauchy_det(h):
         for yj in y:
             den = den * (xi + yj)
     value = num / den
-    return _from_fraction(kind, value) if kind == RATIONAL64 else value
+    return from_exact(kind, value, "determinant") if kind == RATIONAL64 else value
 
 
 # -- minij --------------------------------------------------------------------
@@ -314,6 +290,8 @@ def _pei_inverse(h):
     n = h.rows
     a = h.params["alpha"]
     kind = h.scalar_kind
+    if n == 1:
+        return None  # [alpha + 1]; the formula divides by alpha, use the fallback
     if a == 0 or a == -n:
         raise SingularMatrixError(f"pei inverse is undefined for alpha in {{0, -{n}}}")
     off = -(one(kind) / (a * (a + n)))
@@ -327,8 +305,8 @@ def _pei_det(h):
     if n == 0:
         return one(kind)
     if kind == RATIONAL64:
-        a = _exact(h.params["alpha"])
-        return _from_fraction(kind, a ** (n - 1) * (a + n))
+        a = exact(h.params["alpha"])
+        return from_exact(kind, a ** (n - 1) * (a + n), "determinant")
     a = h.params["alpha"]
     return a ** (n - 1) * (a + n)
 
@@ -355,8 +333,8 @@ def _kms_det(h):
     if n == 0:
         return one(kind)
     if kind == RATIONAL64:
-        rho = _exact(h.params["rho"])
-        return _from_fraction(kind, (1 - rho * rho) ** (n - 1))
+        rho = exact(h.params["rho"])
+        return from_exact(kind, (1 - rho * rho) ** (n - 1), "determinant")
     rho = h.params["rho"]
     return (1.0 - rho * rho) ** (n - 1)
 
@@ -367,11 +345,11 @@ def _kms_inverse(h):
     n = h.rows
     rho = h.params["rho"]
     kind = h.scalar_kind
+    if n == 1:
+        return DenseMatrix(1, 1, [one(kind)], kind)
     rho2 = rho * rho
     if rho2 == 1:
         raise SingularMatrixError("kms with rho^2 = 1 is singular")
-    if n == 1:
-        return DenseMatrix(1, 1, [one(kind)], kind)
     denom = one(kind) - rho2
     corner = one(kind) / denom
     interior = (one(kind) + rho2) / denom
@@ -473,7 +451,7 @@ def _jordbloc_det(h):
     if h.rows == 0:
         return one(kind)
     if kind == RATIONAL64:
-        return _from_fraction(kind, _exact(h.params["lambda"]) ** h.rows)
+        return from_exact(kind, exact(h.params["lambda"]) ** h.rows, "determinant")
     return h.params["lambda"] ** h.rows
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Callable, Optional
 
 from .core import MatrixHandle

@@ -9,7 +9,6 @@ to warnings, or ignore; when both flags are set, ignoring wins.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, Optional, Sequence
@@ -68,14 +67,11 @@ def test_algorithm(
     errors_as_warnings: bool = False,
     ignore_errors: bool = False,
     materialize_first: bool = False,
-    parallel: bool = False,
 ) -> list[HarnessRecord]:
     """Apply fn to every matching (family, size) pair, in registration order.
 
     fn receives the lazy handle (or a dense copy with materialize_first=True,
-    for algorithms that need explicit storage). parallel=True runs the pairs
-    on a thread pool; fn must then be safe for concurrent invocation, and the
-    record order is deterministic either way.
+    for algorithms that need explicit storage).
     """
     if not sizes:
         raise HarnessError("sizes must be non-empty")
@@ -89,36 +85,22 @@ def test_algorithm(
     matching = registry.list_matrices(list(groups) if groups else None, list(props) if props else None)
     excluded = set(exclude)
     matching = [f for f in matching if f not in excluded]
-    tasks = [(family_id, size) for family_id in matching for size in sizes]
-
-    def worker(task):
-        family_id, size = task
-        try:
-            return (OK, _run_one(family_id, size, fn, materialize_first))
-        except Exception as exc:  # policy decides below
-            return ("error", exc)
-
-    if parallel and tasks:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(worker, tasks))
-    else:
-        outcomes = None
 
     records: list[HarnessRecord] = []
-    for index, (family_id, size) in enumerate(tasks):
-        status, payload = outcomes[index] if outcomes is not None else worker((family_id, size))
-        if status == OK:
-            records.append(HarnessRecord(family_id, size, OK, value=payload))
-            continue
-        exc = payload
-        if mode == "ignore":
-            continue
-        if mode == "warn":
-            message = f"{family_id} at size {size}: {exc}"
-            warnings.warn(message)
-            records.append(HarnessRecord(family_id, size, WARNING, message=message))
-            continue
-        raise HarnessError(f"{family_id} at size {size}: {exc}") from exc
+    for family_id in matching:
+        for size in sizes:
+            try:
+                value = _run_one(family_id, size, fn, materialize_first)
+            except Exception as exc:  # the policy decides
+                if mode == "ignore":
+                    continue
+                message = f"{family_id} at size {size}: {exc}"
+                if mode == "strict":
+                    raise HarnessError(message) from exc
+                warnings.warn(message)
+                records.append(HarnessRecord(family_id, size, WARNING, message=message))
+                continue
+            records.append(HarnessRecord(family_id, size, OK, value=value))
     return records
 
 

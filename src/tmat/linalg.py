@@ -1,15 +1,16 @@
 """Dense linear-algebra fallbacks and the closed-form dispatch layer.
 
 Every operation prefers a family's registered closed-form routine and falls
-back to a generic algorithm on the materialized matrix: LU with partial
-pivoting (exact in rational64, thresholded in float64) for determinants,
-inverses, solves, and ranks, and a cyclic Jacobi sweep for symmetric
-spectra.
+back to a generic algorithm on the materialized matrix for determinants,
+inverses, solves, and ranks: fraction-free integer elimination (Bareiss) in
+rational64, LU with thresholded partial pivoting in float64. Symmetric spectra
+use a cyclic Jacobi sweep.
 """
 
 from __future__ import annotations
 
-from math import fsum, hypot, sqrt
+from fractions import Fraction
+from math import fsum, hypot, lcm, sqrt
 
 from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
 from .errors import (
@@ -18,22 +19,11 @@ from .errors import (
     SingularMatrixError,
     UnsupportedOperationError,
 )
-from .scalars import FLOAT64, RATIONAL64, Rational64, as_float, one, zero
+from .scalars import FLOAT64, RATIONAL64, Rational64, as_float, from_exact, zero
 
 FLOAT_SINGULAR_RTOL = 1e-13  # pivot below this times ||A||_F is singular
 FLOAT_RANK_RTOL = 1e-10
 COND1_DIM_BOUND = 64
-
-
-def _is_exact(values_kind: str) -> bool:
-    return values_kind == RATIONAL64 or values_kind == "exact"
-
-
-def _mag(v) -> float:
-    if isinstance(v, Rational64):
-        # exact comparisons use the rational directly; magnitude only breaks ties
-        return abs(v.num / v.den)
-    return abs(v)
 
 
 def as_dense(obj) -> DenseMatrix:
@@ -51,36 +41,85 @@ def _require_square(h, what: str):
         )
 
 
-def _float_advice(exc: RationalOverflowError) -> RationalOverflowError:
-    msg = str(exc)
-    if "float64" in msg:
-        return exc
-    return RationalOverflowError(f"{msg}; use scalar kind float64 for this instance")
+# -- exact elimination: fraction-free Gauss-Jordan (Bareiss) --------------------
 
 
-# -- LU with partial pivoting -------------------------------------------------
+def _bareiss(rows: list[list], ncols: int):
+    """Fraction-free Gauss-Jordan elimination of exact rows (Bareiss 1968).
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the rank and the solutions unchanged. The pivot of each of the
+    first ncols columns is its first nonzero entry at or below the current
+    row; columns without one are skipped. Every other row i becomes
+    (p * a_ik - a_ic * a_rk) / d, with p the new pivot and d the previous
+    one. The division is exact because every entry is a minor of the scaled
+    matrix, so all work is on unbounded integers.
+
+    Returns (a, rank, d, det): the first rank rows of a hold d times the
+    reduced row echelon form, d is the last pivot, and det is the exact
+    determinant of the first ncols columns if they are square.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        ratios = [v.as_integer_ratio() for v in row]
+        s = lcm(*(den for _, den in ratios))
+        scale *= s
+        a.append([num * (s // den) for num, den in ratios])
+    m = len(a)
+    sign, d, r = 1, 1, 0
+    for c in range(ncols):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        pivot = pivot_row[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pivot * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+        d = pivot
+        r += 1
+    det = Fraction(sign * d, scale) if r == m else 0
+    return a, r, d, det
 
 
-def _lu_factor(rows: list[list], kind: str, frob: float):
+def _exact_solve(d: DenseMatrix, rhs_rows: list[list], what: str) -> list[list]:
+    """X with A X = B, eliminating [A | B]; each entry leaves via from_exact."""
+    n = d.rows
+    aug = [row + extra for row, extra in zip(d.to_rows(), rhs_rows)]
+    a, rank, last, _ = _bareiss(aug, n)
+    if rank < n:
+        raise SingularMatrixError(f"matrix is exactly singular (rank {rank} < {n})")
+    return [[from_exact(RATIONAL64, Fraction(v, last), what) for v in row[n:]] for row in a]
+
+
+# -- float LU with partial pivoting ----------------------------------------------
+
+
+def _lu_factor(rows: list[list], frob: float):
     """In-place LU with partial pivoting (largest magnitude, lowest row on ties).
 
     Returns (lu, perm, sign, singular_col) where singular_col is the first
-    column without an acceptable pivot, or None.
+    column without a pivot of at least FLOAT_SINGULAR_RTOL * frob, or None.
     """
     n = len(rows)
     a = [row[:] for row in rows]
     perm = list(range(n))
     sign = 1
-    exact = _is_exact(kind)
-    tol = 0.0 if exact else FLOAT_SINGULAR_RTOL * frob
+    tol = FLOAT_SINGULAR_RTOL * frob
     for c in range(n):
-        best, best_mag = c, _mag(a[c][c])
+        best, best_mag = c, abs(a[c][c])
         for r in range(c + 1, n):
-            m = _mag(a[r][c])
+            m = abs(a[r][c])
             if m > best_mag:
                 best, best_mag = r, m
-        pivot_ok = (a[best][c] != 0) if exact else (best_mag >= tol and best_mag > 0.0)
-        if not pivot_ok:
+        if not (best_mag >= tol and best_mag > 0.0):
             return a, perm, sign, c
         if best != c:
             a[c], a[best] = a[best], a[c]
@@ -99,21 +138,18 @@ def _lu_factor(rows: list[list], kind: str, frob: float):
 
 
 def det_dense(d: DenseMatrix, kind: str | None = None):
-    """Determinant of a dense square matrix by pivoted LU."""
+    """Determinant of a dense square matrix: Bareiss in rational64, else pivoted LU."""
     kind = kind or d.scalar_kind
     n = d.rows
     if n != d.cols:
         raise UnsupportedOperationError("determinant requires a square matrix")
+    if kind == RATIONAL64:
+        return from_exact(kind, _bareiss(d.to_rows(), n)[3], "determinant")
     if n == 0:
-        return one(kind) if kind in (RATIONAL64, FLOAT64) else 1.0
-    rows = d.to_rows()
-    frob = 0.0 if _is_exact(kind) else frobenius_of_dense(d)
-    try:
-        lu, _, sign, singular = _lu_factor(rows, kind, frob)
-    except RationalOverflowError as exc:
-        raise _float_advice(exc) from exc
+        return 1.0
+    lu, _, sign, singular = _lu_factor(d.to_rows(), frobenius_of_dense(d))
     if singular is not None:
-        return zero(kind) if kind in (RATIONAL64, FLOAT64) else 0.0
+        return 0.0
     det = lu[0][0]
     for i in range(1, n):
         det = det * lu[i][i]
@@ -138,19 +174,13 @@ def _lu_solve_one(lu, perm, b):
     return y
 
 
-def _factor_or_raise(d: DenseMatrix, kind: str):
-    rows = d.to_rows()
-    frob = 0.0 if _is_exact(kind) else frobenius_of_dense(d)
-    try:
-        lu, perm, sign, singular = _lu_factor(rows, kind, frob)
-    except RationalOverflowError as exc:
-        raise _float_advice(exc) from exc
+def _factor_or_raise(d: DenseMatrix):
+    lu, perm, _, singular = _lu_factor(d.to_rows(), frobenius_of_dense(d))
     if singular is not None:
-        detail = (
-            "exactly singular" if _is_exact(kind) else "singular to working precision"
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (no pivot in column {singular + 1})"
         )
-        raise SingularMatrixError(f"matrix is {detail} (no pivot in column {singular + 1})")
-    return lu, perm, sign
+    return lu, perm
 
 
 def solve_dense(d: DenseMatrix, rhs: list, kind: str | None = None) -> list:
@@ -162,7 +192,9 @@ def solve_dense(d: DenseMatrix, rhs: list, kind: str | None = None) -> list:
         raise UnsupportedOperationError(
             f"right-hand side length {len(rhs)} != matrix dimension {n}"
         )
-    lu, perm, _ = _factor_or_raise(d, kind)
+    if kind == RATIONAL64:
+        return [x for (x,) in _exact_solve(d, [[v] for v in rhs], "solve")]
+    lu, perm = _factor_or_raise(d)
     return _lu_solve_one(lu, perm, list(rhs))
 
 
@@ -171,49 +203,50 @@ def inverse_dense(d: DenseMatrix, kind: str | None = None) -> DenseMatrix:
     n = d.rows
     if n != d.cols:
         raise UnsupportedOperationError("inverse requires a square matrix")
-    lu, perm, _ = _factor_or_raise(d, kind)
+    if kind == RATIONAL64:
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return DenseMatrix.from_rows(_exact_solve(d, identity, "inverse"), kind)
+    lu, perm = _factor_or_raise(d)
     data = []
     for j in range(n):
-        e = [zero(kind)] * n
-        e[j] = one(kind)
+        e = [0.0] * n
+        e[j] = 1.0
         data.extend(_lu_solve_one(lu, perm, e))
     return DenseMatrix(n, n, data, kind)
 
 
 def rank_dense(d: DenseMatrix, kind: str | None = None) -> int:
-    """Rank by row echelon with partial pivoting; exact zeros in rational64,
-    pivots below 1e-10 * ||A||_F treated as zero in float64."""
+    """Rank: exact by Bareiss in rational64; in float64 by row echelon with
+    partial pivoting, pivots at most 1e-10 * ||A||_F treated as zero."""
     kind = kind or d.scalar_kind
     m, n = d.rows, d.cols
     if m == 0 or n == 0:
         return 0
     rows = d.to_rows()
-    exact = _is_exact(kind)
-    tol = 0.0 if exact else FLOAT_RANK_RTOL * frobenius_of_dense(d)
+    if kind == RATIONAL64:
+        return _bareiss(rows, n)[1]
+    tol = FLOAT_RANK_RTOL * frobenius_of_dense(d)
     r = 0
-    try:
-        for c in range(n):
-            if r == m:
-                break
-            best, best_mag = r, _mag(rows[r][c])
-            for i in range(r + 1, m):
-                mag = _mag(rows[i][c])
-                if mag > best_mag:
-                    best, best_mag = i, mag
-            if (exact and rows[best][c] == 0) or (not exact and best_mag <= tol):
+    for c in range(n):
+        if r == m:
+            break
+        best, best_mag = r, abs(rows[r][c])
+        for i in range(r + 1, m):
+            mag = abs(rows[i][c])
+            if mag > best_mag:
+                best, best_mag = i, mag
+        if best_mag <= tol:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, m):
+            if rows[i][c] == 0:
                 continue
-            rows[r], rows[best] = rows[best], rows[r]
-            pivot = rows[r][c]
-            for i in range(r + 1, m):
-                if rows[i][c] == 0:
-                    continue
-                f = rows[i][c] / pivot
-                row_i, row_r = rows[i], rows[r]
-                for k in range(c, n):
-                    row_i[k] = row_i[k] - f * row_r[k]
-            r += 1
-    except RationalOverflowError as exc:
-        raise _float_advice(exc) from exc
+            f = rows[i][c] / pivot
+            row_i, row_r = rows[i], rows[r]
+            for k in range(c, n):
+                row_i[k] = row_i[k] - f * row_r[k]
+        r += 1
     return r
 
 
@@ -341,10 +374,7 @@ def determinant(h: MatrixHandle):
     _require_square(h, "determinant")
     rec = h.record
     if rec.has_capability("closed_det"):
-        try:
-            return rec.det_fn(h)
-        except RationalOverflowError as exc:
-            raise _float_advice(exc) from exc
+        return rec.det_fn(h)
     return det_dense(materialize(h), h.scalar_kind)
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
-from .errors import ParameterError, TmatError, UnknownPropertyError
+from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
 from .families import construct, feasible_size, get_family
 from .linalg import (
+    _bareiss,
     _cholesky_ok,
     _lu_factor,
     as_dense,
@@ -396,39 +396,15 @@ def _check_indefinite(ctx):
 # -- minor enumeration -------------------------------------------------------------
 
 
-def _to_fraction(v):
-    if isinstance(v, Rational64):
-        return Fraction(v.num, v.den)
-    if isinstance(v, float):
-        return Fraction(v)
-    return Fraction(v)
-
-
-def _exact_det(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    lu, _, sign, singular = _lu_factor(rows, "exact", 0.0)
-    if singular is not None:
-        return Fraction(0)
-    det = Fraction(sign)
-    for i in range(n):
-        det *= lu[i][i]
-    return det
-
-
 def enumerate_minors(d: DenseMatrix):
-    """Yield (rows, cols, det) for every square minor, exactly."""
-    frac_rows = [
-        [_to_fraction(d.get(i, j)) for j in range(1, d.cols + 1)]
-        for i in range(1, d.rows + 1)
-    ]
+    """Yield (rows, cols, det) for every square minor, exactly (Bareiss)."""
+    entries = d.to_rows()
     max_k = min(d.rows, d.cols)
     for k in range(1, max_k + 1):
         for rows_sel in itertools.combinations(range(d.rows), k):
             for cols_sel in itertools.combinations(range(d.cols), k):
-                sub = [[frac_rows[r][c] for c in cols_sel] for r in rows_sel]
-                yield rows_sel, cols_sel, _exact_det(sub)
+                sub = [[entries[r][c] for c in cols_sel] for r in rows_sel]
+                yield rows_sel, cols_sel, _bareiss(sub, k)[3]
 
 
 def _check_totpos(ctx):
@@ -509,7 +485,7 @@ def _check_eigen_tag(ctx) -> AuditFinding:
             [complex(v) - (lam if i == j else 0) for j, v in enumerate(row)]
             for i, row in enumerate(ctx.float_rows)
         ]
-        lu, _, sign, singular = _lu_factor(shifted, "float64", abs(lam) + ctx.frob + 1.0)
+        lu, _, sign, singular = _lu_factor(shifted, abs(lam) + ctx.frob + 1.0)
         if singular is not None:
             continue
         det = complex(sign)
@@ -576,8 +552,9 @@ def audit(
 ) -> list[AuditReport]:
     """Machine-check every declared tag of a family at each requested size.
 
-    Returns one report per size. Sizes over the audit bound, or infeasible for
-    the family, produce skipped verdicts rather than errors.
+    Returns one report per size. Sizes over the audit bound, infeasible for
+    the family, or whose entries overflow the scalar kind produce skipped
+    verdicts rather than errors.
     """
     rec = get_family(family_id)
     tags = rec.descriptor.tags
@@ -585,24 +562,21 @@ def audit(
     for size in sizes:
         if size < 1:
             raise ParameterError(f"audit sizes must be >= 1, got {size}")
+        skip = None
         if size > size_bound:
-            findings = tuple(
-                AuditFinding(t, SKIPPED, f"size over audit bound {size_bound}") for t in tags
-            )
-            reports.append(AuditReport(family_id, size, findings))
-            continue
-        size_params = feasible_size(family_id, size)
-        if size_params is None:
-            findings = tuple(
-                AuditFinding(t, SKIPPED, "size infeasible for this family") for t in tags
-            )
-            reports.append(AuditReport(family_id, size, findings))
-            continue
-        merged = dict(size_params)
-        merged.update(params or {})
-        handle = construct(family_id, merged)
-        ctx = _AuditContext(handle, materialize(handle), tol)
-        findings = tuple(_audit_tag(tag, ctx, minor_bound) for tag in tags)
+            skip = f"size over audit bound {size_bound}"
+        elif (size_params := feasible_size(family_id, size)) is None:
+            skip = "size infeasible for this family"
+        else:
+            handle = construct(family_id, {**size_params, **(params or {})})
+            try:
+                ctx = _AuditContext(handle, materialize(handle), tol)
+            except RationalOverflowError as exc:
+                skip = str(exc)
+        if skip is None:
+            findings = tuple(_audit_tag(tag, ctx, minor_bound) for tag in tags)
+        else:
+            findings = tuple(AuditFinding(t, SKIPPED, skip) for t in tags)
         reports.append(AuditReport(family_id, size, findings))
     return reports
 

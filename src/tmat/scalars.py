@@ -4,13 +4,15 @@ Matrix entries are either Python floats (binary64) or Rational64 values.
 Rational64 keeps an exact numerator/denominator pair, reduced after every
 operation; any result whose reduced numerator or denominator falls outside
 the signed 64-bit range raises RationalOverflowError instead of silently
-promoting to big integers.
+promoting to big integers. Exact algorithms (closed forms, elimination) work
+on unbounded integers and Fractions instead, and hand their result back
+through from_exact, the one place where a computed value is range-checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .errors import ParameterError, RationalOverflowError
 
@@ -47,9 +49,13 @@ class Rational64:
             num //= g
             den //= g
         if num < INT64_MIN or num > INT64_MAX or den > INT64_MAX:
-            raise RationalOverflowError(
-                f"rational value {num}/{den} exceeds the signed 64-bit range"
-            )
+            nbits, dbits = num.bit_length(), den.bit_length()
+            # str() of a huge int is slow and capped at 4300 digits
+            if max(nbits, dbits) > 256:
+                value = f"with a {nbits}-bit numerator and {dbits}-bit denominator"
+            else:
+                value = f"{num}/{den}"
+            raise RationalOverflowError(f"rational value {value} exceeds the signed 64-bit range")
         self.num = num
         self.den = den
 
@@ -75,6 +81,9 @@ class Rational64:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return self.num, self.den
 
     def __float__(self) -> float:
         # big-int division is correctly rounded in CPython
@@ -231,9 +240,33 @@ def ratio(kind: str, num: int, den: int):
 
 
 def as_float(value) -> float:
-    if isinstance(value, Rational64):
-        return float(value)
     return float(value)
+
+
+def exact(value) -> Fraction:
+    """Fraction view of a scalar, for exact work on unbounded integers."""
+    return Fraction(*value.as_integer_ratio())
+
+
+def from_exact(kind: str, value, what: str):
+    """An exact int or Fraction result of operation `what`, in `kind`.
+
+    This is the one overflow boundary for computed results: only the returned
+    value must fit in 64 bits, and a rational64 refusal names the operation
+    and suggests float64. A float64 value beyond the float range becomes a
+    signed inf, as a float product would.
+    """
+    if kind == RATIONAL64:
+        try:
+            return Rational64(value.numerator, value.denominator)
+        except RationalOverflowError as exc:
+            raise RationalOverflowError(
+                f"{what}: {exc}; use scalar kind float64 for this instance"
+            ) from None
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
 
 
 def value_is_integer(value) -> bool:

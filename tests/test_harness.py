@@ -144,15 +144,6 @@ def test_determinism():
     ]
 
 
-def test_parallel_matches_sequential():
-    sizes = [1, 2, 3]
-    seq = run_batch(_sum_fn, sizes, groups=["builtin"], ignore_errors=True)
-    par = run_batch(_sum_fn, sizes, groups=["builtin"], ignore_errors=True, parallel=True)
-    assert [(r.family, r.size, str(r.value)) for r in seq] == [
-        (r.family, r.size, str(r.value)) for r in par
-    ]
-
-
 def test_materialize_first_passes_dense():
     seen = []
 

@@ -1,16 +1,18 @@
 """Builtin matrix family catalog.
 
 Nineteen classic parametrized test families, each with its element formula
-(1-based indices), declared property tags, and any closed-form capabilities
-(determinant, inverse, spectrum, O(1) predicates). Registration order here
-defines the canonical listing order.
+(1-based indices), declared property tags, any closed-form capabilities
+(determinant, inverse, spectrum, O(1) predicates), and a column kernel where
+the family is banded or a whole column has a cheaper closed form.
+Registration order here defines the canonical listing order.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, cos, isqrt, pi, sqrt
+from math import comb, copysign, cos, frexp, inf, isqrt, ldexp, pi, sqrt
+from operator import truediv
 
 from .core import DenseMatrix
 from .errors import ParameterError, SingularMatrixError
@@ -23,12 +25,45 @@ def _dense_from_fn(n, kind, fn):
     return DenseMatrix(n, n, data, kind)
 
 
+def _symmetric_tridiagonal(kind, diag, off):
+    """Dense symmetric tridiagonal matrix from its diagonal and off-diagonal."""
+    n = len(diag)
+    data = [zero(kind)] * (n * n)
+    for i, v in enumerate(diag):
+        data[i * n + i] = v
+    for i, v in enumerate(off):
+        data[i * n + i + 1] = data[(i + 1) * n + i] = v
+    return DenseMatrix(n, n, data, kind)
+
+
+def _banded(element_fn, band):
+    """A column_fn that evaluates element_fn only inside the band:
+    band(params) -> (rows, lower, upper) bandwidths."""
+
+    def column(params, j, kind):
+        rows, lower, upper = band(params)
+        first, last = max(1, j - upper), min(rows, j + lower)
+        return first, [element_fn(params, i, j, kind) for i in range(first, last + 1)]
+
+    return column
+
+
+def _quotient(kind):
+    """num/den in the given kind, as one callable for the column kernels."""
+    return Rational64 if kind == RATIONAL64 else truediv
+
+
 # -- hilbert ------------------------------------------------------------------
 # a_ij = 1/(i+j-1)
 
 
 def _hilbert_element(params, i, j, kind):
     return ratio(kind, 1, i + j - 1)
+
+
+def _hilbert_column(params, j, kind):
+    q = _quotient(kind)
+    return 1, [q(1, d) for d in range(j, j + params["m"])]
 
 
 def _hilbert_validate(params, kind):
@@ -153,23 +188,30 @@ def _cauchy_kind(given):
 
 def _cauchy_det(h):
     # prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)
-    kind = h.scalar_kind
-    if kind == RATIONAL64:
-        x = [exact(v) for v in h.params["x"]]
-        y = [exact(v) for v in h.params["y"]]
-        num, den = Fraction(1), Fraction(1)
-    else:
-        x, y = list(h.params["x"]), list(h.params["y"])
-        num, den = 1.0, 1.0
+    x, y = h.params["x"], h.params["y"]
     n = h.rows
+    if h.scalar_kind == RATIONAL64:
+        x, y = [exact(v) for v in x], [exact(v) for v in y]
+        num, den = Fraction(1), Fraction(1)
+        for j in range(n):
+            for i in range(j):
+                num = num * (x[j] - x[i]) * (y[j] - y[i])
+        for xi in x:
+            for yj in y:
+                den = den * (xi + yj)
+        return from_exact(RATIONAL64, num / den, "determinant")
+    # float64: numerator and denominator factors interleaved column by column,
+    # the binary exponent kept apart so that no partial product under- or overflows
+    mant, expo = 1.0, 0
     for j in range(n):
-        for i in range(j):
-            num = num * (x[j] - x[i]) * (y[j] - y[i])
-    for xi in x:
-        for yj in y:
-            den = den * (xi + yj)
-    value = num / den
-    return from_exact(kind, value, "determinant") if kind == RATIONAL64 else value
+        for i in range(n):
+            f = (x[j] - x[i]) * (y[j] - y[i]) / (x[i] + y[j]) if i < j else 1.0 / (x[i] + y[j])
+            mant, e = frexp(mant * f)
+            expo += e
+    try:
+        return ldexp(mant, expo)
+    except OverflowError:
+        return copysign(inf, mant)
 
 
 # -- minij --------------------------------------------------------------------
@@ -180,6 +222,11 @@ def _minij_element(params, i, j, kind):
     return from_int(kind, min(i, j))
 
 
+def _minij_column(params, j, kind):
+    head = [from_int(kind, i) for i in range(1, j + 1)]
+    return 1, head + head[-1:] * (params["n"] - j)
+
+
 def _minij_eigvals(h):
     n = h.rows
     return sorted(0.25 / cos(i * pi / (2 * n + 1)) ** 2 for i in range(1, n + 1))
@@ -187,17 +234,9 @@ def _minij_eigvals(h):
 
 def _minij_inverse(h):
     # tridiagonal: diag 2 except (n,n) = 1, off-diagonals -1
-    n = h.rows
-    kind = h.scalar_kind
-
-    def entry(i, j):
-        if i == j:
-            return from_int(kind, 1 if i == n else 2)
-        if abs(i - j) == 1:
-            return from_int(kind, -1)
-        return zero(kind)
-
-    return _dense_from_fn(n, kind, entry)
+    n, kind = h.rows, h.scalar_kind
+    diag = [from_int(kind, 1 if i == n else 2) for i in range(1, n + 1)]
+    return _symmetric_tridiagonal(kind, diag, [from_int(kind, -1) for _ in range(1, n)])
 
 
 _MINIJ_PREDICATES = {
@@ -248,24 +287,18 @@ def _lehmer_element(params, i, j, kind):
     return ratio(kind, min(i, j), max(i, j))
 
 
+def _lehmer_column(params, j, kind):
+    q = _quotient(kind)
+    return 1, [q(i, j) for i in range(1, j)] + [q(j, i) for i in range(j, params["n"] + 1)]
+
+
 def _lehmer_inverse(h):
     # tridiagonal: (i,i) = 4i^3/(4i^2-1) for i<n, (n,n) = n^2/(2n-1),
     # (i,i+1) = -i(i+1)/(2i+1)
-    n = h.rows
-    kind = h.scalar_kind
-
-    def entry(i, j):
-        if i == j:
-            if i == n:
-                return ratio(kind, n * n, 2 * n - 1)
-            return ratio(kind, 4 * i**3, 4 * i * i - 1)
-        if j == i + 1:
-            return ratio(kind, -i * (i + 1), 2 * i + 1)
-        if i == j + 1:
-            return ratio(kind, -j * (j + 1), 2 * j + 1)
-        return zero(kind)
-
-    return _dense_from_fn(n, kind, entry)
+    n, kind = h.rows, h.scalar_kind
+    diag = [ratio(kind, 4 * i**3, 4 * i * i - 1) for i in range(1, n)]
+    off = [ratio(kind, -i * (i + 1), 2 * i + 1) for i in range(1, n)]
+    return _symmetric_tridiagonal(kind, (diag + [ratio(kind, n * n, 2 * n - 1)])[:n], off)
 
 
 # -- pei ----------------------------------------------------------------------
@@ -319,6 +352,15 @@ def _pascal_element(params, i, j, kind):
     return from_int(kind, comb(i + j - 2, i - 1))
 
 
+def _pascal_column(params, j, kind):
+    # a_{i+1,j} = a_ij (i + j - 1) / i, exactly on integers
+    values, a = [], 1
+    for i in range(1, params["n"] + 1):
+        values.append(from_int(kind, a))
+        a = a * (i + j - 1) // i
+    return 1, values
+
+
 # -- kms ----------------------------------------------------------------------
 # a_ij = rho^|i-j|
 
@@ -353,16 +395,8 @@ def _kms_inverse(h):
     denom = one(kind) - rho2
     corner = one(kind) / denom
     interior = (one(kind) + rho2) / denom
-    off = -(rho / denom)
-
-    def entry(i, j):
-        if i == j:
-            return corner if i in (1, n) else interior
-        if abs(i - j) == 1:
-            return off
-        return zero(kind)
-
-    return _dense_from_fn(n, kind, entry)
+    diag = [corner if i in (1, n) else interior for i in range(1, n + 1)]
+    return _symmetric_tridiagonal(kind, diag, [-(rho / denom)] * (n - 1))
 
 
 # -- moler --------------------------------------------------------------------
@@ -610,269 +644,201 @@ def _n_param():
     return ParamSpec("n", "dim")
 
 
+_CAPABILITY_OF = {
+    "det_fn": "closed_det",
+    "inverse_fn": "closed_inverse",
+    "eigvals_fn": "closed_eigvals",
+    "predicates": "closed_predicates",
+}
+
+
+def _register(fid, params, kind, tags, element_fn, **routines):
+    """Register one builtin; it declares exactly the closed forms it passes."""
+    caps = frozenset(cap for key, cap in _CAPABILITY_OF.items() if key in routines)
+    register_family(FamilyDescriptor(fid, params, kind, tags, caps), element_fn, **routines)
+
+
 def register_builtins() -> None:
-    register_family(
-        FamilyDescriptor(
-            id="hilbert",
-            params=(ParamSpec("m", "dim", None), ParamSpec("n", "dim", None)),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "inverse", "illcond", "posdef", "totpos"),
-            capabilities=frozenset({"closed_inverse", "closed_det", "closed_predicates"}),
-        ),
+    _register(
+        "hilbert",
+        (ParamSpec("m", "dim", None), ParamSpec("n", "dim", None)),
+        RATIONAL64,
+        ("symmetric", "inverse", "illcond", "posdef", "totpos"),
         _hilbert_element,
         dims_fn=lambda p: (p["m"], p["n"]),
+        column_fn=_hilbert_column,
         validate_fn=_hilbert_validate,
         det_fn=_hilbert_det,
         inverse_fn=_hilbert_inverse,
         predicates=_HILBERT_PREDICATES,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="inversehilbert",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "inverse", "illcond", "posdef", "integer"),
-            capabilities=frozenset({"closed_inverse", "closed_det"}),
-        ),
+    _register(
+        "inversehilbert",
+        (_n_param(),),
+        RATIONAL64,
+        ("symmetric", "inverse", "illcond", "posdef", "integer"),
         _inversehilbert_element,
         det_fn=_inversehilbert_det,
         inverse_fn=_inversehilbert_inverse,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="cauchy",
-            params=(
-                ParamSpec("n", "dim", None),
-                ParamSpec("x", "vector", None),
-                ParamSpec("y", "vector", None),
-            ),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "posdef", "inverse", "illcond", "infdiv"),
-            capabilities=frozenset({"closed_det"}),
+    _register(
+        "cauchy",
+        (
+            ParamSpec("n", "dim", None),
+            ParamSpec("x", "vector", None),
+            ParamSpec("y", "vector", None),
         ),
+        RATIONAL64,
+        ("symmetric", "posdef", "inverse", "illcond", "infdiv"),
         _cauchy_element,
         dims_fn=lambda p: (len(p["x"]), len(p["y"])),
         validate_fn=_cauchy_validate,
         scalar_kind_fn=_cauchy_kind,
         det_fn=_cauchy_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="minij",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "posdef", "eigen", "inverse", "integer"),
-            capabilities=frozenset(
-                {"closed_eigvals", "closed_inverse", "closed_predicates"}
-            ),
-        ),
+    _register(
+        "minij",
+        (_n_param(),),
+        RATIONAL64,
+        ("symmetric", "posdef", "eigen", "inverse", "integer"),
         _minij_element,
+        column_fn=_minij_column,
         eigvals_fn=_minij_eigvals,
         inverse_fn=_minij_inverse,
         predicates=_MINIJ_PREDICATES,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="clement",
-            params=(_n_param(), ParamSpec("symmetric", "bool", False)),
-            default_scalar_kind=FLOAT64,
-            tags=("tridiagonal", "eigen", "integer"),
-            capabilities=frozenset({"closed_eigvals"}),
-        ),
+    _register(
+        "clement",
+        (_n_param(), ParamSpec("symmetric", "bool", False)),
+        FLOAT64,
+        ("tridiagonal", "eigen", "integer"),
         _clement_element,
+        column_fn=_banded(_clement_element, lambda p: (p["n"], 1, 1)),
         validate_fn=_clement_validate,
         eigvals_fn=_clement_eigvals,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="lehmer",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "posdef", "inverse", "totnonneg"),
-            capabilities=frozenset({"closed_inverse"}),
-        ),
+    _register(
+        "lehmer",
+        (_n_param(),),
+        RATIONAL64,
+        ("symmetric", "posdef", "inverse", "totnonneg"),
         _lehmer_element,
+        column_fn=_lehmer_column,
         inverse_fn=_lehmer_inverse,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="pei",
-            params=(_n_param(), ParamSpec("alpha", "scalar", 1)),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "inverse", "posdef", "illcond"),
-            capabilities=frozenset({"closed_eigvals", "closed_inverse", "closed_det"}),
-        ),
+    _register(
+        "pei",
+        (_n_param(), ParamSpec("alpha", "scalar", 1)),
+        RATIONAL64,
+        ("symmetric", "inverse", "posdef", "illcond"),
         _pei_element,
         eigvals_fn=_pei_eigvals,
         inverse_fn=_pei_inverse,
         det_fn=_pei_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="pascal",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=(
-                "symmetric",
-                "posdef",
-                "eigen",
-                "inverse",
-                "integer",
-                "totpos",
-                "unimodular",
-                "illcond",
-            ),
-            capabilities=frozenset({"closed_det"}),
-        ),
+    _register(
+        "pascal",
+        (_n_param(),),
+        RATIONAL64,
+        ("symmetric", "posdef", "eigen", "inverse", "integer", "totpos", "unimodular", "illcond"),
         _pascal_element,
+        column_fn=_pascal_column,
         det_fn=_unit_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="kms",
-            params=(_n_param(), ParamSpec("rho", "scalar", 0.5)),
-            default_scalar_kind=FLOAT64,
-            tags=("symmetric", "posdef", "inverse", "toeplitz"),
-            capabilities=frozenset({"closed_inverse", "closed_det"}),
-        ),
+    _register(
+        "kms",
+        (_n_param(), ParamSpec("rho", "scalar", 0.5)),
+        FLOAT64,
+        ("symmetric", "posdef", "inverse", "toeplitz"),
         _kms_element,
         inverse_fn=_kms_inverse,
         det_fn=_kms_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="moler",
-            params=(_n_param(), ParamSpec("alpha", "scalar", -1)),
-            default_scalar_kind=FLOAT64,
-            tags=("symmetric", "posdef", "illcond"),
-            capabilities=frozenset({"closed_det"}),
-        ),
+    _register(
+        "moler",
+        (_n_param(), ParamSpec("alpha", "scalar", -1)),
+        FLOAT64,
+        ("symmetric", "posdef", "illcond"),
         _moler_element,
         det_fn=_unit_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="forsythe",
-            params=(
-                _n_param(),
-                ParamSpec("alpha", "scalar", 1e-10),
-                ParamSpec("lambda", "scalar", 0),
-            ),
-            default_scalar_kind=FLOAT64,
-            tags=("eigen", "inverse", "illcond"),
-            capabilities=frozenset({"closed_eigvals", "closed_inverse"}),
-        ),
+    _register(
+        "forsythe",
+        (_n_param(), ParamSpec("alpha", "scalar", 1e-10), ParamSpec("lambda", "scalar", 0)),
+        FLOAT64,
+        ("eigen", "inverse", "illcond"),
         _forsythe_element,
         eigvals_fn=_forsythe_eigvals,
         inverse_fn=_forsythe_inverse,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="jordbloc",
-            params=(_n_param(), ParamSpec("lambda", "scalar", 1)),
-            default_scalar_kind=FLOAT64,
-            tags=("eigen", "bidiagonal", "triangular", "toeplitz", "defective", "nilpotent"),
-            capabilities=frozenset({"closed_eigvals", "closed_det"}),
-        ),
+    _register(
+        "jordbloc",
+        (_n_param(), ParamSpec("lambda", "scalar", 1)),
+        FLOAT64,
+        ("eigen", "bidiagonal", "triangular", "toeplitz", "defective", "nilpotent"),
         _jordbloc_element,
+        column_fn=_banded(_jordbloc_element, lambda p: (p["n"], 0, 1)),
         eigvals_fn=_jordbloc_eigvals,
         det_fn=_jordbloc_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="frank",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("hessenberg", "illcond", "integer"),
-            capabilities=frozenset({"closed_det"}),
-        ),
+    _register(
+        "frank",
+        (_n_param(),),
+        RATIONAL64,
+        ("hessenberg", "illcond", "integer"),
         _frank_element,
+        column_fn=_banded(_frank_element, lambda p: (p["n"], 1, p["n"] - 1)),
         det_fn=_unit_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="lotkin",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("inverse", "illcond", "eigen"),
-        ),
-        _lotkin_element,
-    )
-
-    register_family(
-        FamilyDescriptor(
-            id="grcar",
-            params=(_n_param(), ParamSpec("k", "dim", 3)),
-            default_scalar_kind=FLOAT64,
-            tags=("toeplitz", "hessenberg", "integer"),
-        ),
+    _register("lotkin", (_n_param(),), RATIONAL64, ("inverse", "illcond", "eigen"), _lotkin_element)
+    _register(
+        "grcar",
+        (_n_param(), ParamSpec("k", "dim", 3)),
+        FLOAT64,
+        ("toeplitz", "hessenberg", "integer"),
         _grcar_element,
+        column_fn=_banded(_grcar_element, lambda p: (p["n"], 1, p["k"])),
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="wilkinson",
-            params=(_n_param(),),
-            default_scalar_kind=FLOAT64,
-            tags=("symmetric", "tridiagonal"),
-        ),
+    _register(
+        "wilkinson",
+        (_n_param(),),
+        FLOAT64,
+        ("symmetric", "tridiagonal"),
         _wilkinson_element,
+        column_fn=_banded(_wilkinson_element, lambda p: (p["n"], 1, 1)),
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="poisson",
-            params=(_n_param(),),
-            default_scalar_kind=RATIONAL64,
-            tags=("symmetric", "posdef", "eigen", "sparse", "integer"),
-            capabilities=frozenset({"closed_eigvals"}),
-        ),
+    _register(
+        "poisson",
+        (_n_param(),),
+        RATIONAL64,
+        ("symmetric", "posdef", "eigen", "sparse", "integer"),
         _poisson_element,
+        column_fn=_banded(_poisson_element, lambda p: (p["n"] ** 2, p["n"], p["n"])),
         dims_fn=_poisson_dims,
         eigvals_fn=_poisson_eigvals,
         size_to_params=_poisson_size_to_params,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="companion",
-            params=(ParamSpec("n", "dim", None), ParamSpec("v", "vector", None)),
-            default_scalar_kind=FLOAT64,
-            tags=("hessenberg", "sparse", "integer"),
-            capabilities=frozenset({"closed_det"}),
-        ),
+    _register(
+        "companion",
+        (ParamSpec("n", "dim", None), ParamSpec("v", "vector", None)),
+        FLOAT64,
+        ("hessenberg", "sparse", "integer"),
         _companion_element,
         dims_fn=_companion_dims,
         validate_fn=_companion_validate,
         det_fn=_companion_det,
     )
-
-    register_family(
-        FamilyDescriptor(
-            id="triw",
-            params=(
-                _n_param(),
-                ParamSpec("alpha", "scalar", -1),
-                ParamSpec("k", "dim", lambda p: max(p["n"] - 1, 0)),
-            ),
-            default_scalar_kind=RATIONAL64,
-            tags=("triangular", "illcond", "integer", "unimodular"),
-            capabilities=frozenset({"closed_det"}),
+    _register(
+        "triw",
+        (
+            _n_param(),
+            ParamSpec("alpha", "scalar", -1),
+            ParamSpec("k", "dim", lambda p: max(p["n"] - 1, 0)),
         ),
+        RATIONAL64,
+        ("triangular", "illcond", "integer", "unimodular"),
         _triw_element,
+        column_fn=_banded(_triw_element, lambda p: (p["n"], 0, p["k"])),
         det_fn=_unit_det,
     )
 

@@ -14,7 +14,7 @@ from math import fsum, sqrt
 from typing import Any
 
 from .errors import BoundsError, ParameterError, RationalOverflowError
-from .scalars import RATIONAL64, as_float
+from .scalars import RATIONAL64, as_float, zero
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,39 @@ def element(h: MatrixHandle, i: int, j: int):
         ) from exc
 
 
+def columns(h: MatrixHandle, *, full: bool = False):
+    """Yield (j, first_row, values) for each column j: the one bulk entry path.
+
+    values are rows first_row .. first_row + len(values) - 1 of column j and
+    every entry outside them is exactly zero(kind). A family's column_fn
+    supplies that band; without one, element_fn fills the whole column. With
+    full=True each band is padded to the whole column with one shared zero.
+    """
+    column_fn, fn = h.record.column_fn, h.record.element_fn
+    params, kind, rows = h.params, h.scalar_kind, h.rows
+    pad = zero(kind)
+    for j in range(1, h.cols + 1):
+        try:
+            if column_fn is None:
+                first, values = 1, [fn(params, i, j, kind) for i in range(1, rows + 1)]
+            else:
+                first, values = column_fn(params, j, kind)
+        except RationalOverflowError:
+            for i in range(1, rows + 1):
+                element(h, i, j)  # re-raises naming the entry that overflowed
+            raise
+        if full and len(values) < rows:
+            values = [pad] * (first - 1) + values + [pad] * (rows + 1 - first - len(values))
+            first = 1
+        yield j, first, values
+
+
 def materialize(h: MatrixHandle) -> DenseMatrix:
     """Dense column-major copy of the handle."""
-    fn = h.record.element_fn
-    params, kind = h.params, h.scalar_kind
-    rows, cols = h.rows, h.cols
     data = []
-    append = data.append
-    try:
-        for j in range(1, cols + 1):
-            for i in range(1, rows + 1):
-                append(fn(params, i, j, kind))
-    except RationalOverflowError as exc:
-        raise RationalOverflowError(
-            f"{h.family} entry ({i}, {j}): {exc}; use scalar kind float64 for this instance"
-        ) from exc
-    return DenseMatrix(rows, cols, data, kind)
+    for _, _, values in columns(h, full=True):
+        data += values
+    return DenseMatrix(h.rows, h.cols, data, h.scalar_kind)
 
 
 def handle_footprint(h: MatrixHandle) -> int:

@@ -1,8 +1,9 @@
 """Family registry: descriptors, parameter validation, and construction.
 
 Each matrix family registers a descriptor (identifier, parameter schema,
-property tags, capability flags), an element formula, and optional
-specialized routines (closed-form determinant, inverse, spectrum, and O(1)
+property tags, capability flags), an element formula, an optional column
+kernel that returns the nonzero band of a column, and optional specialized
+routines (closed-form determinant, inverse, spectrum, and O(1)
 predicates) that the linalg dispatch layer prefers over generic fallbacks.
 """
 
@@ -64,6 +65,7 @@ class FamilyRecord:
     descriptor: FamilyDescriptor
     element_fn: Callable
     dims_fn: Callable
+    column_fn: Optional[Callable] = None
     validate_fn: Optional[Callable] = None
     scalar_kind_fn: Optional[Callable] = None
     size_to_params: Optional[Callable] = None
@@ -96,6 +98,7 @@ def register_family(
     element_fn: Callable,
     *,
     dims_fn: Optional[Callable] = None,
+    column_fn: Optional[Callable] = None,
     validate_fn: Optional[Callable] = None,
     scalar_kind_fn: Optional[Callable] = None,
     size_to_params: Optional[Callable] = None,
@@ -104,7 +107,12 @@ def register_family(
     eigvals_fn: Optional[Callable] = None,
     predicates: Optional[dict] = None,
 ) -> None:
-    """Register a new family; it joins no group automatically."""
+    """Register a new family; it joins no group automatically.
+
+    column_fn(params, j, kind) -> (first_row, values) is optional: values are
+    rows first_row .. first_row + len(values) - 1 of column j, every entry
+    outside them is exactly zero(kind), and each value equals element_fn's.
+    """
     with _LOCK:
         fid = descriptor.id
         if fid in _FAMILIES:
@@ -136,6 +144,7 @@ def register_family(
             descriptor=descriptor,
             element_fn=element_fn,
             dims_fn=dims_fn,
+            column_fn=column_fn,
             validate_fn=validate_fn,
             scalar_kind_fn=scalar_kind_fn,
             size_to_params=size_to_params,

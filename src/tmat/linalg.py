@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import fsum, hypot, lcm, sqrt
 
-from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
+from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize
 from .errors import (
     ConvergenceError,
     RationalOverflowError,
@@ -357,13 +357,7 @@ def _float_twin(h: MatrixHandle) -> MatrixHandle:
 
 def _float_rows(h: MatrixHandle) -> list[list[float]]:
     """Materialize as float64 rows regardless of the handle's scalar kind."""
-    twin = _float_twin(h)
-    fn = twin.record.element_fn
-    params = twin.params
-    return [
-        [fn(params, i, j, FLOAT64) for j in range(1, twin.cols + 1)]
-        for i in range(1, twin.rows + 1)
-    ]
+    return materialize(_float_twin(h)).to_rows()
 
 
 # -- dispatched public operations ----------------------------------------------
@@ -406,30 +400,41 @@ def eigvals(h: MatrixHandle):
 
 
 def entry_sum(h: MatrixHandle):
-    """Sum of all entries, streamed in the handle's scalar kind."""
-    fn = h.record.element_fn
-    params, kind = h.params, h.scalar_kind
-    if kind == RATIONAL64:
-        acc = Rational64(0)
-        for j in range(1, h.cols + 1):
-            for i in range(1, h.rows + 1):
-                acc = acc + fn(params, i, j, kind)
-        return acc
-    return fsum(
-        fn(params, i, j, kind) for j in range(1, h.cols + 1) for i in range(1, h.rows + 1)
-    )
+    """Sum of all entries, streamed over the column bands in the handle's kind.
+
+    In rational64 the numerators are summed exactly per denominator, so only
+    the final sum must fit in 64 bits.
+    """
+    if h.scalar_kind != RATIONAL64:
+        return fsum(v for _, _, values in columns(h) for v in values)
+    by_den: dict = {}
+    for _, _, values in columns(h):
+        for v in values:
+            num, den = v.as_integer_ratio()
+            by_den[den] = by_den.get(den, 0) + num
+    total = sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+    return from_exact(RATIONAL64, total, "entry_sum")
 
 
 def frobenius_norm(h: MatrixHandle) -> float:
-    """sqrt of the sum of squared entries, streamed without materialization."""
-    fn = h.record.element_fn
-    params, kind = h.params, h.scalar_kind
-    total = fsum(
-        as_float(fn(params, i, j, kind)) ** 2
-        for j in range(1, h.cols + 1)
-        for i in range(1, h.rows + 1)
-    )
-    return sqrt(total)
+    """sqrt of the sum of squared entries, streamed over the column bands.
+
+    If a square or the sum overflows, each column is summed scaled by its
+    largest magnitude and the column sums by the largest of those; a norm
+    beyond the float range is inf.
+    """
+    try:
+        return sqrt(fsum(as_float(v) ** 2 for _, _, values in columns(h) for v in values))
+    except OverflowError:
+        pass
+    parts = []
+    for _, _, values in columns(h):
+        xs = [abs(as_float(v)) for v in values]
+        peak = max(xs, default=0.0)
+        if peak:
+            parts.append((peak, fsum((x / peak) ** 2 for x in xs)))
+    top = max(peak for peak, _ in parts)
+    return top * sqrt(fsum((peak / top) ** 2 * s for peak, s in parts))
 
 
 def _predicate(h: MatrixHandle, name: str):
@@ -441,40 +446,48 @@ def _predicate(h: MatrixHandle, name: str):
     return None
 
 
+def _band_symmetric(h: MatrixHandle) -> bool:
+    """a_ij == a_ji everywhere, in one pass over the column bands.
+
+    In-band entries below the diagonal are kept by row as their columns pass.
+    At column j each in-band a_ij above the diagonal must equal the kept a_ji
+    (zero if none was kept), and every kept a_ji left unmatched must be zero.
+    """
+    below = [{} for _ in range(h.rows + 1)]
+    for j, first, values in columns(h):
+        stored = below[j]
+        below[j] = None
+        for i, v in enumerate(values, first):
+            if i < j:
+                if v != stored.pop(i, 0):
+                    return False
+            elif i > j:
+                below[i][j] = v
+        if any(stored.values()):
+            return False
+    return True
+
+
+def _band_diagonal(h: MatrixHandle) -> bool:
+    return not any(
+        v for j, first, values in columns(h) for i, v in enumerate(values, first) if i != j
+    )
+
+
+def _scan(h: MatrixHandle, check) -> bool:
+    """check(h), or check on the float64 twin when an entry overflows rational64."""
+    try:
+        return check(h)
+    except RationalOverflowError:
+        return check(_float_twin(h))
+
+
 def _scan_symmetric(h: MatrixHandle) -> bool:
-    if h.rows != h.cols:
-        return False
-    probe = h
-    for attempt in range(2):
-        fn = probe.record.element_fn
-        params, kind = probe.params, probe.scalar_kind
-        try:
-            return all(
-                fn(params, i, j, kind) == fn(params, j, i, kind)
-                for i in range(1, h.rows + 1)
-                for j in range(i + 1, h.cols + 1)
-            )
-        except RationalOverflowError:
-            # entries not representable exactly; retry on a float64 twin
-            probe = _float_twin(h)
-    return False
+    return h.rows == h.cols and _scan(h, _band_symmetric)
 
 
 def _scan_diagonal(h: MatrixHandle) -> bool:
-    probe = h
-    for attempt in range(2):
-        fn = probe.record.element_fn
-        params, kind = probe.params, probe.scalar_kind
-        try:
-            return all(
-                fn(params, i, j, kind) == 0
-                for i in range(1, h.rows + 1)
-                for j in range(1, h.cols + 1)
-                if i != j
-            )
-        except RationalOverflowError:
-            probe = _float_twin(h)
-    return False
+    return _scan(h, _band_diagonal)
 
 
 def is_symmetric(h: MatrixHandle) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .core import DenseMatrix, MatrixHandle, element
+from .core import DenseMatrix, MatrixHandle, columns
 from .errors import MatrixMarketError
 from .linalg import is_symmetric
 from .scalars import FLOAT64, RATIONAL64, as_float
@@ -61,28 +61,34 @@ def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
         for line in _header_lines(h, "array", symmetry):
             out.write(line + "\n")
         out.write(f"{h.rows} {h.cols}\n")
-        for j in range(1, h.cols + 1):
+        for j, first, values in columns(h):
             start = j if symmetric else 1
-            for i in range(start, h.rows + 1):
-                out.write(format_value(as_float(element(h, i, j))) + "\n")
+            band = values[max(start - first, 0):]
+            # zeros above and below the band print as "0"
+            head = max(first - start, 0) if band else h.rows + 1 - start
+            tail = h.rows + 1 - first - len(values) if band else 0
+            out.write("0\n" * head)
+            out.write("".join([format_value(as_float(v)) + "\n" for v in band]))
+            out.write("0\n" * tail)
 
 
 def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     """Write the sparse coordinate format: size line `m n nnz`, then 1-based
     `i j value` triplets in row-major traversal order; entries with
     |value| <= zero_tol are dropped."""
-    entries = []
-    for i in range(1, h.rows + 1):
-        for j in range(1, h.cols + 1):
-            v = as_float(element(h, i, j))
+    by_row = [[] for _ in range(h.rows + 1)]
+    # out-of-band zeros are kept only when zero_tol < 0
+    for j, first, values in columns(h, full=zero_tol < 0):
+        for i, v in enumerate(values, first):
+            v = as_float(v)
             if abs(v) > zero_tol:
-                entries.append((i, j, v))
+                by_row[i].append(f"{i} {j} {format_value(v)}\n")
     with _sink(sink) as out:
         for line in _header_lines(h, "coordinate", "general"):
             out.write(line + "\n")
-        out.write(f"{h.rows} {h.cols} {len(entries)}\n")
-        for i, j, v in entries:
-            out.write(f"{i} {j} {format_value(v)}\n")
+        out.write(f"{h.rows} {h.cols} {sum(map(len, by_row))}\n")
+        for lines in by_row:
+            out.write("".join(lines))
 
 
 def _read_text(source) -> str:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
+from .core import DenseMatrix, MatrixHandle, columns, element, frobenius_of_dense, materialize
 from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
 from .families import construct, feasible_size, get_family
 from .linalg import (
@@ -30,7 +31,7 @@ from .linalg import (
     max_abs_identity_residual,
     rank_dense,
 )
-from .scalars import RATIONAL64, Rational64, as_float, value_is_integer
+from .scalars import FLOAT64, RATIONAL64, Rational64, as_float, value_is_integer
 
 PROPERTY_TAGS: tuple[str, ...] = (
     "bidiagonal",
@@ -151,24 +152,30 @@ class _AuditContext:
         self.handle = handle
         self.dense = dense
         self.tol = tol
-        self._float_rows = None
-        self._frob = None
 
-    @property
+    @cached_property
+    def float_dense(self):
+        d = self.dense
+        return DenseMatrix(d.rows, d.cols, [as_float(v) for v in d.data], FLOAT64)
+
+    @cached_property
     def float_rows(self):
-        if self._float_rows is None:
-            d = self.dense
-            self._float_rows = [
-                [as_float(d.get(i, j)) for j in range(1, d.cols + 1)]
-                for i in range(1, d.rows + 1)
-            ]
-        return self._float_rows
+        return self.float_dense.to_rows()
 
-    @property
+    @cached_property
+    def float_transpose(self):
+        d = self.dense
+        return DenseMatrix(d.cols, d.rows, [v for row in self.float_rows for v in row], FLOAT64)
+
+    @cached_property
     def frob(self):
-        if self._frob is None:
-            self._frob = frobenius_of_dense(self.dense)
-        return self._frob
+        return frobenius_of_dense(self.dense)
+
+    @cached_property
+    def bandwidths(self):
+        """(lower, upper): the largest i - j and j - i over the nonzero entries."""
+        nonzero = [(i, j) for i, j, v in _all_entries(self.dense) if v != 0]
+        return max([0] + [i - j for i, j in nonzero]), max([0] + [j - i for i, j in nonzero])
 
 
 # -- structural scans -----------------------------------------------------------
@@ -185,31 +192,19 @@ def _check_symmetric(ctx):
 
 
 def _check_triangular(ctx):
-    d = ctx.dense
-    upper = all(v == 0 for i, j, v in _all_entries(d) if i > j)
-    if upper:
-        return True
-    return all(v == 0 for i, j, v in _all_entries(d) if i < j)
+    return min(ctx.bandwidths) == 0
 
 
 def _check_bidiagonal(ctx):
-    d = ctx.dense
-    upper = all(v == 0 for i, j, v in _all_entries(d) if j not in (i, i + 1))
-    if upper:
-        return True
-    return all(v == 0 for i, j, v in _all_entries(d) if j not in (i, i - 1))
+    return sorted(ctx.bandwidths) <= [0, 1]
 
 
 def _check_tridiagonal(ctx):
-    return all(v == 0 for i, j, v in _all_entries(ctx.dense) if abs(i - j) > 1)
+    return max(ctx.bandwidths) <= 1
 
 
 def _check_hessenberg(ctx):
-    d = ctx.dense
-    upper = all(v == 0 for i, j, v in _all_entries(d) if i > j + 1)
-    if upper:
-        return True
-    return all(v == 0 for i, j, v in _all_entries(d) if j > i + 1)
+    return min(ctx.bandwidths) <= 1
 
 
 def _check_toeplitz(ctx):
@@ -285,27 +280,8 @@ def _check_complex(ctx):
 # -- numeric checks ---------------------------------------------------------------
 
 
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
-def _matmul_rows(a, b):
-    n, m, p = len(a), len(b[0]) if b else 0, len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(p)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _max_abs(rows):
-    return max((abs(v) for row in rows for v in row), default=0.0)
-
-
-def _residual_vs_identity(rows):
-    return max(
-        (abs(v - (1.0 if i == j else 0.0)) for i, row in enumerate(rows) for j, v in enumerate(row)),
-        default=0.0,
-    )
+def _near_identity(ctx, product):
+    return max_abs_identity_residual(product) <= ctx.tol * max(1.0, ctx.frob) ** 2
 
 
 def _check_posdef(ctx):
@@ -315,43 +291,33 @@ def _check_posdef(ctx):
 
 
 def _check_orthogonal(ctx):
-    rows = ctx.float_rows
     if ctx.dense.rows != ctx.dense.cols:
         return False
-    prod = _matmul_rows(_transpose(rows), rows)
-    return _residual_vs_identity(prod) <= ctx.tol * max(1.0, ctx.frob) ** 2
+    return _near_identity(ctx, matmul_dense(ctx.float_transpose, ctx.float_dense))
 
 
 def _check_involutory(ctx):
-    rows = ctx.float_rows
     if ctx.dense.rows != ctx.dense.cols:
         return False
-    prod = _matmul_rows(rows, rows)
-    return _residual_vs_identity(prod) <= ctx.tol * max(1.0, ctx.frob) ** 2
+    return _near_identity(ctx, matmul_dense(ctx.float_dense, ctx.float_dense))
 
 
 def _check_normal(ctx):
-    rows = ctx.float_rows
     if ctx.dense.rows != ctx.dense.cols:
         return False
-    t = _transpose(rows)
-    left = _matmul_rows(t, rows)
-    right = _matmul_rows(rows, t)
-    diff = max(
-        abs(left[i][j] - right[i][j]) for i in range(len(rows)) for j in range(len(rows))
-    )
+    a, t = ctx.float_dense, ctx.float_transpose
+    diff = max(abs(x - y) for x, y in zip(matmul_dense(t, a).data, matmul_dense(a, t).data))
     return diff <= ctx.tol * max(1.0, ctx.frob) ** 2
 
 
 def _check_nilpotent(ctx):
-    rows = ctx.float_rows
     n = ctx.dense.rows
     if n != ctx.dense.cols:
         return False
-    power = rows
+    power = ctx.float_dense
     for _ in range(n - 1):
-        power = _matmul_rows(power, rows)
-    return _max_abs(power) <= ctx.tol * max(1.0, ctx.frob) ** n
+        power = matmul_dense(power, ctx.float_dense)
+    return max(map(abs, power.data), default=0.0) <= ctx.tol * max(1.0, ctx.frob) ** n
 
 
 def _check_unimodular(ctx):
@@ -541,6 +507,21 @@ def _audit_tag(tag, ctx, minor_bound) -> AuditFinding:
     return finding
 
 
+def _check_band(h) -> tuple[AuditFinding, ...]:
+    """A failing finding if a registered column_fn disagrees with element_fn:
+    in-band values must be equal and entries outside the band zero."""
+    if h.record.column_fn is None:
+        return ()
+    for j, first, values in columns(h):
+        for i in range(1, h.rows + 1):
+            k = i - first
+            got = values[k] if 0 <= k < len(values) else 0
+            if got != element(h, i, j):
+                note = f"column_fn disagrees with element_fn at ({i}, {j})"
+                return (AuditFinding("column_fn", FAIL, note),)
+    return ()
+
+
 def audit(
     family_id: str,
     sizes: list[int],
@@ -554,7 +535,8 @@ def audit(
 
     Returns one report per size. Sizes over the audit bound, infeasible for
     the family, or whose entries overflow the scalar kind produce skipped
-    verdicts rather than errors.
+    verdicts rather than errors. A family with a column_fn also gets a
+    failing `column_fn` finding where its band disagrees with element_fn.
     """
     rec = get_family(family_id)
     tags = rec.descriptor.tags
@@ -575,6 +557,7 @@ def audit(
                 skip = str(exc)
         if skip is None:
             findings = tuple(_audit_tag(tag, ctx, minor_bound) for tag in tags)
+            findings += _check_band(handle)
         else:
             findings = tuple(AuditFinding(t, SKIPPED, skip) for t in tags)
         reports.append(AuditReport(family_id, size, findings))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, copysign, cos, frexp, inf, isqrt, ldexp, pi, sqrt
+from math import comb, copysign, cos, frexp, inf, isqrt, lcm, ldexp, pi, prod, sqrt
 from operator import truediv
 
 from .core import DenseMatrix
@@ -78,30 +78,13 @@ def _hilbert_validate(params, kind):
     return {"m": m, "n": n}
 
 
-def _superfactorial(n):
-    # prod_{k=1}^{n-1} k!
-    p = 1
-    f = 1
-    for k in range(1, n):
-        f *= k
-        p *= f
-    return p
-
-
 def _inv_hilbert_det_int(n):
-    # det of the inverse Hilbert matrix: c_{2n} / c_n^4, always an integer
-    c2n = _superfactorial(2 * n)
-    cn = _superfactorial(n)
-    value = Fraction(c2n, cn**4)
-    assert value.denominator == 1
-    return value.numerator
+    # 1/det H_n = prod_{k<n} (2k+1) C(2k,k)^2 (Choi 1983), an integer
+    return prod((2 * k + 1) * comb(2 * k, k) ** 2 for k in range(n))
 
 
 def _hilbert_det(h):
-    n = h.rows
-    if n == 0:
-        return one(h.scalar_kind)
-    return from_exact(h.scalar_kind, Fraction(1, _inv_hilbert_det_int(n)), "determinant")
+    return from_exact(h.scalar_kind, Fraction(1, _inv_hilbert_det_int(h.rows)), "determinant")
 
 
 def _hilbert_inverse(h):
@@ -132,10 +115,7 @@ def _inversehilbert_element(params, i, j, kind):
 
 
 def _inversehilbert_det(h):
-    n = h.rows
-    if n == 0:
-        return one(h.scalar_kind)
-    return from_exact(h.scalar_kind, _inv_hilbert_det_int(n), "determinant")
+    return from_exact(h.scalar_kind, _inv_hilbert_det_int(h.rows), "determinant")
 
 
 def _inversehilbert_inverse(h):
@@ -191,15 +171,17 @@ def _cauchy_det(h):
     x, y = h.params["x"], h.params["y"]
     n = h.rows
     if h.scalar_kind == RATIONAL64:
-        x, y = [exact(v) for v in x], [exact(v) for v in y]
-        num, den = Fraction(1), Fraction(1)
-        for j in range(n):
-            for i in range(j):
-                num = num * (x[j] - x[i]) * (y[j] - y[i])
-        for xi in x:
-            for yj in y:
-                den = den * (xi + yj)
-        return from_exact(RATIONAL64, num / den, "determinant")
+        # x_i = X_i/Dx and y_j = Y_j/Dy over common denominators, so that
+        # det = prod (X_j-X_i)(Y_j-Y_i) (Dx Dy)^(n(n+1)/2) / prod (X_i Dy + Y_j Dx)
+        xr, yr = [v.as_integer_ratio() for v in x], [v.as_integer_ratio() for v in y]
+        dx, dy = lcm(*(d for _, d in xr)), lcm(*(d for _, d in yr))
+        xs, ys = [a * (dx // d) for a, d in xr], [a * (dy // d) for a, d in yr]
+        # row by row, so that most products are of small integers
+        num = prod(prod(xs[j] - xs[i] for i in range(j)) for j in range(n))
+        num *= prod(prod(ys[j] - ys[i] for i in range(j)) for j in range(n))
+        den = prod(prod(xi * dy + yj * dx for yj in ys) for xi in xs)
+        value = Fraction(num * (dx * dy) ** (n * (n + 1) // 2), den)
+        return from_exact(RATIONAL64, value, "determinant")
     # float64: numerator and denominator factors interleaved column by column,
     # the binary exponent kept apart so that no partial product under- or overflows
     mant, expo = 1.0, 0

@@ -170,8 +170,22 @@ def dense_footprint(d: DenseMatrix) -> int:
     return per_entry * d.rows * d.cols
 
 
+def scaled_norm(groups) -> float:
+    """sqrt of the sum of squares of groups of magnitudes, each group scaled by
+    its peak and the groups by the largest peak: for when squares overflow."""
+    parts = [
+        (peak, fsum((x / peak) ** 2 for x in xs)) for xs in groups if (peak := max(xs, default=0.0))
+    ]
+    top = max(peak for peak, _ in parts)
+    return top * sqrt(fsum((peak / top) ** 2 * s for peak, s in parts))
+
+
 def frobenius_of_dense(d: DenseMatrix) -> float:
-    total = fsum(
-        (abs(v) if isinstance(v, complex) else abs(as_float(v))) ** 2 for v in d.data
-    )
-    return sqrt(total)
+    """||d||_F, the scale of every float pivot tolerance; rescaled on overflow."""
+    try:
+        return sqrt(fsum(
+            (abs(v) if isinstance(v, complex) else abs(as_float(v))) ** 2 for v in d.data
+        ))
+    except OverflowError:
+        mags = [abs(v) if isinstance(v, complex) else abs(as_float(v)) for v in d.data]
+        return scaled_norm(mags[k:k + d.rows] for k in range(0, len(mags), d.rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import fsum, hypot, lcm, sqrt
 
-from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize
+from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
 from .errors import (
     ConvergenceError,
     RationalOverflowError,
@@ -41,23 +41,25 @@ def _require_square(h, what: str):
         )
 
 
-# -- exact elimination: fraction-free Gauss-Jordan (Bareiss) --------------------
+# -- exact elimination: fraction-free Bareiss ------------------------------------
 
 
-def _bareiss(rows: list[list], ncols: int):
-    """Fraction-free Gauss-Jordan elimination of exact rows (Bareiss 1968).
+def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False):
+    """Fraction-free elimination of exact rows (Bareiss 1968).
 
     Each row is scaled to integers by the lcm of its denominators, which
     leaves the rank and the solutions unchanged. The pivot of each of the
     first ncols columns is its first nonzero entry at or below the current
-    row; columns without one are skipped. Every other row i becomes
-    (p * a_ik - a_ic * a_rk) / d, with p the new pivot and d the previous
-    one. The division is exact because every entry is a minor of the scaled
-    matrix, so all work is on unbounded integers.
+    row r; columns without one are skipped. Each row i below r becomes
+    (p * a_ik - a_ic * a_rk) / d for k > c, with p the new pivot and d the
+    previous one: exact, as every entry is a minor of the scaled matrix.
+    jordan=True (solve, inverse) updates the rows above r the same way, so
+    once every column has a pivot, row i of a[:, ncols:] is d times row i
+    of the solution. Entries in and left of the pivot column are never read
+    again, so they are not updated.
 
-    Returns (a, rank, d, det): the first rank rows of a hold d times the
-    reduced row echelon form, d is the last pivot, and det is the exact
-    determinant of the first ncols columns if they are square.
+    Returns (a, rank, d, det): d is the last pivot and det the determinant of
+    the first ncols columns if they are square.
     """
     a = []
     scale = 1
@@ -79,10 +81,10 @@ def _bareiss(rows: list[list], ncols: int):
             sign = -sign
         pivot_row = a[r]
         pivot = pivot_row[c]
-        for i in range(m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(pivot * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+        tail = pivot_row[c + 1:]
+        for row in (a[:r] + a[r + 1:] if jordan else a[r + 1:]):
+            f = row[c]
+            row[c + 1:] = [(pivot * x - f * y) // d for x, y in zip(row[c + 1:], tail)]
         d = pivot
         r += 1
     det = Fraction(sign * d, scale) if r == m else 0
@@ -93,7 +95,7 @@ def _exact_solve(d: DenseMatrix, rhs_rows: list[list], what: str) -> list[list]:
     """X with A X = B, eliminating [A | B]; each entry leaves via from_exact."""
     n = d.rows
     aug = [row + extra for row, extra in zip(d.to_rows(), rhs_rows)]
-    a, rank, last, _ = _bareiss(aug, n)
+    a, rank, last, _ = _bareiss(aug, n, jordan=True)
     if rank < n:
         raise SingularMatrixError(f"matrix is exactly singular (rank {rank} < {n})")
     return [[from_exact(RATIONAL64, Fraction(v, last), what) for v in row[n:]] for row in a]
@@ -419,22 +421,13 @@ def entry_sum(h: MatrixHandle):
 def frobenius_norm(h: MatrixHandle) -> float:
     """sqrt of the sum of squared entries, streamed over the column bands.
 
-    If a square or the sum overflows, each column is summed scaled by its
-    largest magnitude and the column sums by the largest of those; a norm
-    beyond the float range is inf.
+    If a square or the sum overflows, the columns are rescaled (scaled_norm);
+    a norm beyond the float range is inf.
     """
     try:
         return sqrt(fsum(as_float(v) ** 2 for _, _, values in columns(h) for v in values))
     except OverflowError:
-        pass
-    parts = []
-    for _, _, values in columns(h):
-        xs = [abs(as_float(v)) for v in values]
-        peak = max(xs, default=0.0)
-        if peak:
-            parts.append((peak, fsum((x / peak) ** 2 for x in xs)))
-    top = max(peak for peak, _ in parts)
-    return top * sqrt(fsum((peak / top) ** 2 * s for peak, s in parts))
+        return scaled_norm([abs(as_float(v)) for v in values] for _, _, values in columns(h))
 
 
 def _predicate(h: MatrixHandle, name: str):

@@ -11,6 +11,7 @@ through from_exact, the one place where a computed value is range-checked.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, inf
 
@@ -22,6 +23,8 @@ SCALAR_KINDS = (FLOAT64, RATIONAL64)
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class Rational64:
@@ -197,7 +200,13 @@ class Rational64:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        return hash(Fraction(self.num, self.den))
+        # CPython's hash of Fraction(num, den), computed without building one
+        try:
+            h = abs(self.num) * pow(self.den, -1, _HASH_MODULUS) % _HASH_MODULUS
+        except ValueError:  # den is a multiple of the modulus
+            h = _HASH_INF
+        h = h if self.num >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return self.num != 0

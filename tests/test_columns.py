@@ -32,8 +32,9 @@ from tmat import (
 )
 from tmat.catalog import _cauchy_det
 from tmat.cli import _render_value, main
-from tmat.core import MatrixHandle, columns
+from tmat.core import MatrixHandle, columns, frobenius_of_dense
 from tmat.families import FamilyRecord, get_family
+from tmat.linalg import det_dense
 from tmat.mmio import format_value
 from tmat.properties import audit, has_failures, render_audit
 
@@ -327,6 +328,27 @@ def test_frobenius_norm_of_pascal_300_does_not_overflow():
     exact = sum(math.comb(i + j, i) ** 2 for i in range(n) for j in range(n))
     value = frobenius_norm(construct("pascal", n=n, scalar_kind=FLOAT64))
     assert value == pytest.approx(math.isqrt(exact), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        tmat.rank,
+        lambda h: det_dense(materialize(h)),
+        lambda h: tmat.solve(h, [1.0] * 300),
+        tmat.inverse,
+    ],
+    ids=["rank", "det_dense", "solve", "inverse"],
+)
+def test_float_pivot_tolerance_of_pascal_300_does_not_overflow(op):
+    # the tolerance ||A||_F (about 4.5e178) fits although its squares do not;
+    # each route returns or refuses with a TmatError, never OverflowError
+    h = construct("pascal", n=300, scalar_kind=FLOAT64)
+    assert frobenius_of_dense(materialize(h)) == frobenius_norm(h)
+    try:
+        op(h)
+    except tmat.TmatError:
+        pass
 
 
 def test_frobenius_norm_beyond_float_range_is_inf():

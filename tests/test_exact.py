@@ -28,7 +28,8 @@ from tmat import (
     materialize,
     rank,
 )
-from tmat.linalg import as_dense, det_dense, inverse_dense, rank_dense, solve_dense
+from tmat.linalg import _bareiss, as_dense, det_dense, inverse_dense, rank_dense, solve_dense
+from tmat.properties import enumerate_minors
 from tmat.scalars import from_exact
 
 EXACT = settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -111,6 +112,11 @@ def rational_matrices(draw, max_dim=5):
         a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         s, t = draw(small_fractions), draw(small_fractions)
         rows[draw(st.integers(0, m - 1))] = [s * u + t * v for u, v in zip(rows[a], rows[b])]
+    for c in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[c] = Fraction(0)  # a column without a pivot
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)  # the first pivot needs a row swap
     return rows
 
 
@@ -143,6 +149,23 @@ def test_bareiss_rank_matches_minors(rows):
 def test_bareiss_det_matches_cofactor(rows):
     square = _leading_square(rows)
     assert det_dense(_dense(square)).as_fraction() == cofactor_det(square)
+
+
+@EXACT
+@given(rows=rational_matrices())
+def test_forward_and_gauss_jordan_bareiss_agree(rows):
+    exact_rows = [[Rational64.from_number(v) for v in row] for row in rows]
+    n = len(rows[0])
+    _, rank, d, det = _bareiss([row[:] for row in exact_rows], n)
+    assert (rank, d, det) == _bareiss([row[:] for row in exact_rows], n, jordan=True)[1:]
+
+
+@EXACT
+@given(rows=rational_matrices(max_dim=4))
+def test_audit_minors_match_brute_force(rows):
+    got = [det for _, _, det in enumerate_minors(_dense(rows))]
+    k = min(len(rows), len(rows[0]))
+    assert got == [det for size in range(1, k + 1) for det in brute_minors(rows, size)]
 
 
 @EXACT

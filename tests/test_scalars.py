@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmat import ParameterError, Rational64, RationalOverflowError
@@ -77,6 +78,20 @@ def test_integer_interop():
     assert Rational64(1, 3) < 1
     assert hash(Rational64(4, 2)) == hash(2)
     assert hash(Rational64(1, 3)) == hash(Fraction(1, 3))
+
+
+@example(-1, 1)
+@example(-(2**63), 1)
+@given(
+    st.integers(-(2**63), 2**63 - 1),
+    st.one_of(
+        st.just(1),
+        st.integers(1, 2**63 - 1),
+        st.sampled_from([sys.hash_info.modulus * k for k in (1, 2, 3, 4)]),
+    ),
+)
+def test_hash_equals_fraction_hash(num, den):
+    assert hash(Rational64(num, den)) == hash(Fraction(num, den))
 
 
 def test_float_conversion_correctly_rounded():

@@ -144,8 +144,12 @@ def _cauchy_validate(params, kind):
         x = tuple(from_int(kind, k) for k in range(1, n + 1))
     if y is None:
         y = x
-    negated = {-v for v in y}
-    bad = sorted(i + 1 for i, v in enumerate(x) if v in negated)
+    if kind == RATIONAL64:  # compare (num, den) pairs: -v may leave the 64-bit range
+        negated = {(-v.num, v.den) for v in y}
+        bad = [i for i, v in enumerate(x, 1) if (v.num, v.den) in negated]
+    else:
+        negated = {-v for v in y}
+        bad = [i for i, v in enumerate(x, 1) if v in negated]
     if bad:
         raise ParameterError(
             f"cauchy generators collide: x_i + y_j = 0 for x indices {bad}"
@@ -219,6 +223,10 @@ def _minij_inverse(h):
     n, kind = h.rows, h.scalar_kind
     diag = [from_int(kind, 1 if i == n else 2) for i in range(1, n + 1)]
     return _symmetric_tridiagonal(kind, diag, [from_int(kind, -1) for _ in range(1, n)])
+
+
+# pei, kms and moler are symmetric for every parameter value
+_SYMMETRIC_PREDICATES = {"symmetric": lambda h: True}
 
 
 _MINIJ_PREDICATES = {
@@ -717,6 +725,7 @@ def register_builtins() -> None:
         eigvals_fn=_pei_eigvals,
         inverse_fn=_pei_inverse,
         det_fn=_pei_det,
+        predicates=_SYMMETRIC_PREDICATES,
     )
     _register(
         "pascal",
@@ -735,6 +744,7 @@ def register_builtins() -> None:
         _kms_element,
         inverse_fn=_kms_inverse,
         det_fn=_kms_det,
+        predicates=_SYMMETRIC_PREDICATES,
     )
     _register(
         "moler",
@@ -743,6 +753,7 @@ def register_builtins() -> None:
         ("symmetric", "posdef", "illcond"),
         _moler_element,
         det_fn=_unit_det,
+        predicates=_SYMMETRIC_PREDICATES,
     )
     _register(
         "forsythe",

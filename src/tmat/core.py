@@ -14,7 +14,7 @@ from math import fsum, sqrt
 from typing import Any
 
 from .errors import BoundsError, ParameterError, RationalOverflowError
-from .scalars import RATIONAL64, as_float, zero
+from .scalars import RATIONAL64, zero
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ def frobenius_of_dense(d: DenseMatrix) -> float:
     """||d||_F, the scale of every float pivot tolerance; rescaled on overflow."""
     try:
         return sqrt(fsum(
-            (abs(v) if isinstance(v, complex) else abs(as_float(v))) ** 2 for v in d.data
+            (abs(v) if isinstance(v, complex) else abs(float(v))) ** 2 for v in d.data
         ))
     except OverflowError:
-        mags = [abs(v) if isinstance(v, complex) else abs(as_float(v)) for v in d.data]
+        mags = [abs(v) if isinstance(v, complex) else abs(float(v)) for v in d.data]
         return scaled_norm(mags[k:k + d.rows] for k in range(0, len(mags), d.rows))

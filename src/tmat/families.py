@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .core import MatrixHandle
 from .errors import DuplicateFamilyError, ParameterError, UnknownFamilyError
-from .scalars import FLOAT64, RATIONAL64, Rational64, check_kind
+from .scalars import RATIONAL64, Rational64, check_kind
 
 CAPABILITIES = ("closed_det", "closed_inverse", "closed_eigvals", "closed_predicates")
 
@@ -25,7 +25,7 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One constructor parameter: name, kind, default, optional constraint.
+    """One constructor parameter: name, kind, and default.
 
     kind is one of:
       dim     non-negative integer dimension (does not add to the handle footprint)
@@ -39,7 +39,6 @@ class ParamSpec:
     name: str
     kind: str
     default: object = _REQUIRED
-    constraint: Optional[Callable[[object, dict], None]] = None
 
     @property
     def required(self) -> bool:
@@ -55,7 +54,6 @@ class FamilyDescriptor:
     default_scalar_kind: str
     tags: tuple[str, ...]
     capabilities: frozenset = frozenset()
-    supported_kinds: tuple[str, ...] = (FLOAT64, RATIONAL64)
 
 
 @dataclass
@@ -247,10 +245,6 @@ def construct(family_id: str, params: Optional[dict] = None, scalar_kind: Option
         else:
             scalar_kind = desc.default_scalar_kind
     check_kind(scalar_kind)
-    if scalar_kind not in desc.supported_kinds:
-        raise ParameterError(
-            f"family '{family_id}' does not support scalar kind {scalar_kind}"
-        )
 
     resolved: dict = {}
     for spec in desc.params:
@@ -272,8 +266,6 @@ def construct(family_id: str, params: Optional[dict] = None, scalar_kind: Option
             value = _coerce_vector(spec.name, value, scalar_kind)
         elif spec.kind == "bool":
             value = _coerce_bool(spec.name, value)
-        if spec.constraint is not None:
-            spec.constraint(value, resolved)
         resolved[spec.name] = value
 
     if record.validate_fn is not None:

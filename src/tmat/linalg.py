@@ -10,7 +10,7 @@ use a cyclic Jacobi sweep.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum, hypot, lcm, sqrt
+from math import fsum, hypot, lcm, nextafter, prod, sqrt
 
 from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
 from .errors import (
@@ -19,10 +19,10 @@ from .errors import (
     SingularMatrixError,
     UnsupportedOperationError,
 )
-from .scalars import FLOAT64, RATIONAL64, Rational64, as_float, from_exact, zero
+from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, zero
 
 FLOAT_SINGULAR_RTOL = 1e-13  # pivot below this times ||A||_F is singular
-FLOAT_RANK_RTOL = 1e-10
+FLOAT_RANK_RTOL = 1e-10  # pivot at or below this times ||A||_F is zero
 COND1_DIM_BOUND = 64
 
 
@@ -104,57 +104,69 @@ def _exact_solve(d: DenseMatrix, rhs_rows: list[list], what: str) -> list[list]:
 # -- float LU with partial pivoting ----------------------------------------------
 
 
-def _lu_factor(rows: list[list], frob: float):
-    """In-place LU with partial pivoting (largest magnitude, lowest row on ties).
+def _singular_bound(scale: float) -> float:
+    """The exclusive pivot bound of det, solve, inverse and the eigen audit:
+    a pivot passes when it is nonzero and at least FLOAT_SINGULAR_RTOL * scale."""
+    return nextafter(FLOAT_SINGULAR_RTOL * scale, 0.0)
 
-    Returns (lu, perm, sign, singular_col) where singular_col is the first
-    column without a pivot of at least FLOAT_SINGULAR_RTOL * frob, or None.
+
+def _lu_factor(rows: list[list], ncols: int, tol: float):
+    """In-place LU with partial pivoting of float (or complex) rows.
+
+    The pivot of each of the first ncols columns is its largest magnitude at
+    or below the current row r, the lowest such row on ties. A column whose
+    largest magnitude is not above tol (a NaN never is) is skipped. Each row i
+    below r becomes row_i - f * row_r over the columns right of the pivot,
+    f = a_ic / pivot being stored in a_ic: once no column was skipped, the
+    rows hold L below the diagonal and U on and above it.
+
+    Returns (lu, perm, sign, rank, skipped): lu[i] is input row perm[i], sign
+    the parity of the swaps, and skipped the first column without a pivot,
+    or None.
     """
-    n = len(rows)
-    a = [row[:] for row in rows]
-    perm = list(range(n))
-    sign = 1
-    tol = FLOAT_SINGULAR_RTOL * frob
-    for c in range(n):
-        best, best_mag = c, abs(a[c][c])
-        for r in range(c + 1, n):
-            m = abs(a[r][c])
-            if m > best_mag:
-                best, best_mag = r, m
-        if not (best_mag >= tol and best_mag > 0.0):
-            return a, perm, sign, c
-        if best != c:
-            a[c], a[best] = a[best], a[c]
-            perm[c], perm[best] = perm[best], perm[c]
+    a = rows
+    m = len(a)
+    perm = list(range(m))
+    sign, r, skipped = 1, 0, None
+    for c in range(ncols):
+        if r == m:
+            break
+        best, best_mag = r, abs(a[r][c])
+        for i in range(r + 1, m):
+            mag = abs(a[i][c])
+            if mag > best_mag:
+                best, best_mag = i, mag
+        if not best_mag > tol:
+            if skipped is None:
+                skipped = c
+            continue
+        if best != r:
+            a[r], a[best] = a[best], a[r]
+            perm[r], perm[best] = perm[best], perm[r]
             sign = -sign
-        pivot = a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] == 0:
+        pivot_row = a[r]
+        pivot = pivot_row[c]
+        for row in a[r + 1:]:
+            if row[c] == 0:
                 continue
-            f = a[r][c] / pivot
-            a[r][c] = f
-            row_r, row_c = a[r], a[c]
-            for k in range(c + 1, n):
-                row_r[k] = row_r[k] - f * row_c[k]
-    return a, perm, sign, None
+            f = row[c] / pivot
+            row[c] = f
+            for k in range(c + 1, ncols):
+                row[k] = row[k] - f * pivot_row[k]
+        r += 1
+    return a, perm, sign, r, skipped
 
 
-def det_dense(d: DenseMatrix, kind: str | None = None):
+def det_dense(d: DenseMatrix):
     """Determinant of a dense square matrix: Bareiss in rational64, else pivoted LU."""
-    kind = kind or d.scalar_kind
+    _require_square(d, "determinant")
     n = d.rows
-    if n != d.cols:
-        raise UnsupportedOperationError("determinant requires a square matrix")
-    if kind == RATIONAL64:
-        return from_exact(kind, _bareiss(d.to_rows(), n)[3], "determinant")
-    if n == 0:
-        return 1.0
-    lu, _, sign, singular = _lu_factor(d.to_rows(), frobenius_of_dense(d))
-    if singular is not None:
+    if d.scalar_kind == RATIONAL64:
+        return from_exact(RATIONAL64, _bareiss(d.to_rows(), n)[3], "determinant")
+    lu, _, sign, rank, _ = _lu_factor(d.to_rows(), n, _singular_bound(frobenius_of_dense(d)))
+    if rank < n:
         return 0.0
-    det = lu[0][0]
-    for i in range(1, n):
-        det = det * lu[i][i]
+    det = prod((lu[i][i] for i in range(n)), start=1.0)
     return -det if sign < 0 else det
 
 
@@ -177,79 +189,50 @@ def _lu_solve_one(lu, perm, b):
 
 
 def _factor_or_raise(d: DenseMatrix):
-    lu, perm, _, singular = _lu_factor(d.to_rows(), frobenius_of_dense(d))
-    if singular is not None:
+    bound = _singular_bound(frobenius_of_dense(d))
+    lu, perm, _, _, skipped = _lu_factor(d.to_rows(), d.cols, bound)
+    if skipped is not None:
         raise SingularMatrixError(
-            f"matrix is singular to working precision (no pivot in column {singular + 1})"
+            f"matrix is singular to working precision (no pivot in column {skipped + 1})"
         )
     return lu, perm
 
 
-def solve_dense(d: DenseMatrix, rhs: list, kind: str | None = None) -> list:
-    kind = kind or d.scalar_kind
+def solve_dense(d: DenseMatrix, rhs: list) -> list:
+    _require_square(d, "solve")
     n = d.rows
-    if n != d.cols:
-        raise UnsupportedOperationError("solve requires a square matrix")
     if len(rhs) != n:
         raise UnsupportedOperationError(
             f"right-hand side length {len(rhs)} != matrix dimension {n}"
         )
-    if kind == RATIONAL64:
+    if d.scalar_kind == RATIONAL64:
         return [x for (x,) in _exact_solve(d, [[v] for v in rhs], "solve")]
     lu, perm = _factor_or_raise(d)
     return _lu_solve_one(lu, perm, list(rhs))
 
 
-def inverse_dense(d: DenseMatrix, kind: str | None = None) -> DenseMatrix:
-    kind = kind or d.scalar_kind
+def inverse_dense(d: DenseMatrix) -> DenseMatrix:
+    _require_square(d, "inverse")
     n = d.rows
-    if n != d.cols:
-        raise UnsupportedOperationError("inverse requires a square matrix")
-    if kind == RATIONAL64:
+    if d.scalar_kind == RATIONAL64:
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        return DenseMatrix.from_rows(_exact_solve(d, identity, "inverse"), kind)
+        return DenseMatrix.from_rows(_exact_solve(d, identity, "inverse"), RATIONAL64)
     lu, perm = _factor_or_raise(d)
     data = []
     for j in range(n):
         e = [0.0] * n
         e[j] = 1.0
         data.extend(_lu_solve_one(lu, perm, e))
-    return DenseMatrix(n, n, data, kind)
+    return DenseMatrix(n, n, data, d.scalar_kind)
 
 
-def rank_dense(d: DenseMatrix, kind: str | None = None) -> int:
-    """Rank: exact by Bareiss in rational64; in float64 by row echelon with
-    partial pivoting, pivots at most 1e-10 * ||A||_F treated as zero."""
-    kind = kind or d.scalar_kind
-    m, n = d.rows, d.cols
-    if m == 0 or n == 0:
-        return 0
+def rank_dense(d: DenseMatrix) -> int:
+    """Rank: exact by Bareiss in rational64; in float64 by the pivoted LU,
+    pivots at most 1e-10 * ||A||_F treated as zero."""
     rows = d.to_rows()
-    if kind == RATIONAL64:
-        return _bareiss(rows, n)[1]
-    tol = FLOAT_RANK_RTOL * frobenius_of_dense(d)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        best, best_mag = r, abs(rows[r][c])
-        for i in range(r + 1, m):
-            mag = abs(rows[i][c])
-            if mag > best_mag:
-                best, best_mag = i, mag
-        if best_mag <= tol:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, m):
-            if rows[i][c] == 0:
-                continue
-            f = rows[i][c] / pivot
-            row_i, row_r = rows[i], rows[r]
-            for k in range(c, n):
-                row_i[k] = row_i[k] - f * row_r[k]
-        r += 1
-    return r
+    if d.scalar_kind == RATIONAL64:
+        return _bareiss(rows, d.cols)[1]
+    return _lu_factor(rows, d.cols, FLOAT_RANK_RTOL * frobenius_of_dense(d))[3]
 
 
 # -- cyclic Jacobi for symmetric float matrices --------------------------------
@@ -371,7 +354,7 @@ def determinant(h: MatrixHandle):
     rec = h.record
     if rec.has_capability("closed_det"):
         return rec.det_fn(h)
-    return det_dense(materialize(h), h.scalar_kind)
+    return det_dense(materialize(h))
 
 
 def inverse(h: MatrixHandle):
@@ -383,7 +366,7 @@ def inverse(h: MatrixHandle):
         result = rec.inverse_fn(h)
         if result is not None:
             return result
-    return inverse_dense(materialize(h), h.scalar_kind)
+    return inverse_dense(materialize(h))
 
 
 def eigvals(h: MatrixHandle):
@@ -425,9 +408,9 @@ def frobenius_norm(h: MatrixHandle) -> float:
     a norm beyond the float range is inf.
     """
     try:
-        return sqrt(fsum(as_float(v) ** 2 for _, _, values in columns(h) for v in values))
+        return sqrt(fsum(float(v) ** 2 for _, _, values in columns(h) for v in values))
     except OverflowError:
-        return scaled_norm([abs(as_float(v)) for v in values] for _, _, values in columns(h))
+        return scaled_norm([abs(float(v)) for v in values] for _, _, values in columns(h))
 
 
 def _predicate(h: MatrixHandle, name: str):
@@ -515,11 +498,11 @@ def solve(h: MatrixHandle, rhs: list) -> list:
         rhs = [Rational64.from_number(v) if not isinstance(v, Rational64) else v for v in rhs]
     else:
         rhs = [float(v) for v in rhs]
-    return solve_dense(materialize(h), rhs, h.scalar_kind)
+    return solve_dense(materialize(h), rhs)
 
 
 def rank(h: MatrixHandle) -> int:
-    return rank_dense(materialize(h), h.scalar_kind)
+    return rank_dense(materialize(h))
 
 
 def cond1(h: MatrixHandle, *, bound: int = COND1_DIM_BOUND) -> float:
@@ -540,7 +523,7 @@ def cond1(h: MatrixHandle, *, bound: int = COND1_DIM_BOUND) -> float:
     norm_a = _norm1_rows(rows)
     dense = DenseMatrix.from_rows(rows, FLOAT64)
     try:
-        inv = inverse_dense(dense, FLOAT64)
+        inv = inverse_dense(dense)
     except SingularMatrixError:
         return float("inf")
     return norm_a * _norm1_rows(inv.to_rows())
@@ -601,7 +584,7 @@ def max_abs_identity_residual(d: DenseMatrix) -> float:
         for i in range(1, d.rows + 1):
             v = d.get(i, j)
             target = 1 if i == j else 0
-            diff = abs(as_float(v) - target)
+            diff = abs(float(v) - target)
             if diff > worst:
                 worst = diff
     return worst

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from .core import DenseMatrix, MatrixHandle, columns
 from .errors import MatrixMarketError
 from .linalg import is_symmetric
-from .scalars import FLOAT64, RATIONAL64, as_float
+from .scalars import FLOAT64, RATIONAL64
 
 BANNER = "%%MatrixMarket"
 
@@ -68,7 +68,7 @@ def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
             head = max(first - start, 0) if band else h.rows + 1 - start
             tail = h.rows + 1 - first - len(values) if band else 0
             out.write("0\n" * head)
-            out.write("".join([format_value(as_float(v)) + "\n" for v in band]))
+            out.write("".join([format_value(float(v)) + "\n" for v in band]))
             out.write("0\n" * tail)
 
 
@@ -80,7 +80,7 @@ def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     # out-of-band zeros are kept only when zero_tol < 0
     for j, first, values in columns(h, full=zero_tol < 0):
         for i, v in enumerate(values, first):
-            v = as_float(v)
+            v = float(v)
             if abs(v) > zero_tol:
                 by_row[i].append(f"{i} {j} {format_value(v)}\n")
     with _sink(sink) as out:

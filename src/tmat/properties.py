@@ -20,6 +20,7 @@ from .linalg import (
     _bareiss,
     _cholesky_ok,
     _lu_factor,
+    _singular_bound,
     as_dense,
     cond1,
     dense_is_symmetric,
@@ -31,7 +32,7 @@ from .linalg import (
     max_abs_identity_residual,
     rank_dense,
 )
-from .scalars import FLOAT64, RATIONAL64, Rational64, as_float, value_is_integer
+from .scalars import FLOAT64, RATIONAL64, Rational64, value_is_integer
 
 PROPERTY_TAGS: tuple[str, ...] = (
     "bidiagonal",
@@ -156,7 +157,7 @@ class _AuditContext:
     @cached_property
     def float_dense(self):
         d = self.dense
-        return DenseMatrix(d.rows, d.cols, [as_float(v) for v in d.data], FLOAT64)
+        return DenseMatrix(d.rows, d.cols, [float(v) for v in d.data], FLOAT64)
 
     @cached_property
     def float_rows(self):
@@ -238,7 +239,7 @@ def _check_circulant(ctx):
 
 
 def _check_binary(ctx):
-    values = {as_float(v) for _, _, v in _all_entries(ctx.dense)}
+    values = {float(v) for _, _, v in _all_entries(ctx.dense)}
     return len(values) <= 2
 
 
@@ -451,8 +452,8 @@ def _check_eigen_tag(ctx) -> AuditFinding:
             [complex(v) - (lam if i == j else 0) for j, v in enumerate(row)]
             for i, row in enumerate(ctx.float_rows)
         ]
-        lu, _, sign, singular = _lu_factor(shifted, abs(lam) + ctx.frob + 1.0)
-        if singular is not None:
+        lu, _, sign, rank, _ = _lu_factor(shifted, n, _singular_bound(abs(lam) + ctx.frob + 1.0))
+        if rank < n:
             continue
         det = complex(sign)
         for i in range(n):

@@ -248,10 +248,6 @@ def ratio(kind: str, num: int, den: int):
     return num / den
 
 
-def as_float(value) -> float:
-    return float(value)
-
-
 def exact(value) -> Fraction:
     """Fraction view of a scalar, for exact work on unbounded integers."""
     return Fraction(*value.as_integer_ratio())

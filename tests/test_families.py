@@ -205,6 +205,18 @@ def test_hilbert_determinant_reciprocity(n):
 def test_cauchy_generator_collision_rejected():
     with pytest.raises(ParameterError, match="collide"):
         construct("cauchy", x=[1, 2], y=[3, -1])
+    with pytest.raises(ParameterError, match=r"x indices \[2\]"):
+        construct("cauchy", x=[Fraction(1, 3), Fraction(-5, 7)], y=[Fraction(5, 7)])
+    with pytest.raises(ParameterError, match="collide"):
+        construct("cauchy", x=[float("inf")], y=[float("-inf")])
+
+
+def test_cauchy_collision_check_does_not_negate_into_the_64_bit_range():
+    # -(-2**63) does not fit, but the one entry 1/(1 - 2**63) does
+    h = construct("cauchy", x=[1], y=[-(2**63)])
+    assert tmat.element(h, 1, 1) == Rational64(-1, 2**63 - 1)
+    h = construct("cauchy", x=[1.0, float("nan")], y=[float("nan"), 2.0])
+    assert h.scalar_kind == tmat.FLOAT64 and h.dims == (2, 2)
 
 
 def test_cauchy_scalar_kind_resolution():

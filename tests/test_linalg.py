@@ -38,6 +38,7 @@ from tmat.linalg import (
     jacobi_eigvals,
     matmul_dense,
     max_abs_identity_residual,
+    rank_dense,
 )
 
 from oracles import (
@@ -212,6 +213,20 @@ def test_predicate_soundness_vs_scan(family, n):
     assert dense_is_diagonal(d) == naive_diagonal(rows)
 
 
+@pytest.mark.parametrize("family, name", [("pei", "alpha"), ("kms", "rho"), ("moler", "alpha")])
+@pytest.mark.parametrize("kind", [tmat.FLOAT64, tmat.RATIONAL64])
+def test_symmetric_predicate_soundness_at_random_parameters(family, name, kind):
+    rng = random.Random(f"{family} {kind}")
+    for _ in range(25):
+        if kind == tmat.RATIONAL64:
+            value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        else:
+            value = rng.uniform(-3.0, 3.0)
+        h = construct(family, {"n": rng.randint(1, 8), name: value}, scalar_kind=kind)
+        assert is_symmetric(h) == naive_symmetric(frac_rows(h))
+        assert is_symmetric(h) == dense_is_symmetric(materialize(h))
+
+
 def test_posdef_scan_fallback():
     assert is_posdef(construct("lehmer", n=5))
     assert not is_posdef(construct("grcar", n=4))
@@ -237,6 +252,32 @@ def test_rank_examples():
     assert rank(construct("hilbert", n=4)) == 4
     assert rank(construct("hilbert", m=2, n=5)) == 2
     assert rank(construct("jordbloc", n=3, lam=0)) == 2
+
+
+def test_float_pivot_bounds_at_forsythe_n2():
+    # ||A||_F = 1.0 exactly: rank needs a pivot above 1e-10 * ||A||_F, while
+    # det and solve take any nonzero pivot of at least 1e-13 * ||A||_F
+    assert rank(construct("forsythe", n=2, alpha=1e-10)) == 1
+    h = construct("forsythe", n=2, alpha=1e-13)
+    assert det_dense(materialize(h)) == -1e-13
+    assert solve(h, [1.0, 1.0]) == [1e13, 1.0]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[NAN]],
+        [[0.0, 1.0], [NAN, 0.0]],  # forsythe n = 2, alpha = nan
+        [[1.0, 2.0], [3.0, NAN]],
+        [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]],
+    ],
+)
+def test_rank_with_nan_entries_agrees_with_det(rows):
+    d = DenseMatrix.from_rows(rows, tmat.FLOAT64)
+    assert (rank_dense(d) == d.rows) == (det_dense(d) != 0.0)
 
 
 def test_cond1():

@@ -14,6 +14,7 @@ from tmat import (
     register_family,
     render_audit,
 )
+from tmat.families import get_family
 from tmat.properties import (
     EXISTENTIAL_TAGS,
     PROPERTY_TAGS,
@@ -141,6 +142,24 @@ def test_mis_tagged_family_fails_audit():
     )
     reports = audit("nottridiag", [4])
     assert has_failures(reports)
+
+
+def test_wrong_closed_spectrum_fails_eigen_audit():
+    # jordbloc's entries with the spectrum shifted by 0.5: det(A - mu I) = (-0.5)^n
+    jordbloc = get_family("jordbloc")
+    register_family(
+        FamilyDescriptor(
+            id="shiftedspectrum",
+            params=jordbloc.descriptor.params,
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("eigen",),
+            capabilities=frozenset({"closed_eigvals"}),
+        ),
+        jordbloc.element_fn,
+        eigvals_fn=lambda h: [h.params["lambda"] + 0.5] * h.rows,
+    )
+    for report in audit("shiftedspectrum", [3, 5]):
+        assert [f.verdict for f in report.findings] == ["fail"], render_audit([report])
 
 
 def test_existential_mistag_softens_to_not_checkable():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, copysign, cos, frexp, inf, isqrt, lcm, ldexp, pi, prod, sqrt
+from math import comb, copysign, cos, frexp, inf, isfinite, isqrt, lcm, ldexp, pi, prod, sqrt
 from operator import truediv
 
 from .core import DenseMatrix
@@ -97,6 +97,14 @@ _HILBERT_PREDICATES = {
     "diagonal": lambda h: h.rows == 0 or h.cols == 0 or (h.rows <= 1 and h.cols <= 1),
 }
 
+# minij, lehmer, pascal, inversehilbert and poisson are symmetric positive
+# definite for every n, with a nonzero off-diagonal entry once n >= 2
+_SPD_PREDICATES = {
+    "symmetric": lambda h: True,
+    "posdef": lambda h: True,
+    "diagonal": lambda h: h.rows <= 1,
+}
+
 
 # -- inversehilbert -----------------------------------------------------------
 # (A)_ij = (-1)^(i+j) (i+j-1) C(n+i-1, n-j) C(n+j-1, n-i) C(i+j-2, i-1)^2
@@ -155,6 +163,15 @@ def _cauchy_validate(params, kind):
             f"cauchy generators collide: x_i + y_j = 0 for x indices {bad}"
         )
     return {"x": x, "y": y}
+
+
+def _cauchy_symmetric(h):
+    # a_ij = 1/(x_i + y_j) is symmetric when y = x (and no x_i is a NaN, which
+    # the tuple comparison would match by identity); otherwise the scan decides
+    x, y = h.params["x"], h.params["y"]
+    if x == y and all(v == v for v in x):
+        return True
+    return None
 
 
 def _cauchy_kind(given):
@@ -225,17 +242,6 @@ def _minij_inverse(h):
     return _symmetric_tridiagonal(kind, diag, [from_int(kind, -1) for _ in range(1, n)])
 
 
-# pei, kms and moler are symmetric for every parameter value
-_SYMMETRIC_PREDICATES = {"symmetric": lambda h: True}
-
-
-_MINIJ_PREDICATES = {
-    "symmetric": lambda h: True,
-    "posdef": lambda h: True,
-    "diagonal": lambda h: h.rows <= 1,
-}
-
-
 # -- clement ------------------------------------------------------------------
 # nonsymmetric: a_{i,i+1} = i, a_{i+1,i} = n-i; symmetric variant replaces both
 # off-diagonals with sqrt(i(n-i))
@@ -282,6 +288,14 @@ def _lehmer_column(params, j, kind):
     return 1, [q(i, j) for i in range(1, j)] + [q(j, i) for i in range(j, params["n"] + 1)]
 
 
+def _lehmer_det(h):
+    # A = D B D with D = diag(1/i) and b_ij = min(i,j)^2 = sum_{k <= min(i,j)} (2k-1),
+    # so det B = prod (2k-1) and det = 3*5*...*(2n-1) / (n!)^2
+    n = h.rows
+    value = Fraction(prod(range(3, 2 * n, 2)), prod(range(2, n + 1)) ** 2)
+    return from_exact(h.scalar_kind, value, "determinant")
+
+
 def _lehmer_inverse(h):
     # tridiagonal: (i,i) = 4i^3/(4i^2-1) for i<n, (n,n) = n^2/(2n-1),
     # (i,i+1) = -i(i+1)/(2i+1)
@@ -320,6 +334,15 @@ def _pei_inverse(h):
     off = -(one(kind) / (a * (a + n)))
     diag = (a + n - one(kind)) / (a * (a + n))
     return _dense_from_fn(n, kind, lambda i, j: diag if i == j else off)
+
+
+def _pei_posdef(h):
+    # spectrum alpha (n - 1 times) and alpha + n; for n = 1 the entry alpha + 1
+    a = h.params["alpha"]
+    return isfinite(a) and a > (0 if h.rows > 1 else -1)
+
+
+_PEI_PREDICATES = {"symmetric": lambda h: True, "posdef": _pei_posdef}
 
 
 def _pei_det(h):
@@ -371,6 +394,13 @@ def _kms_det(h):
     return (1.0 - rho * rho) ** (n - 1)
 
 
+_KMS_PREDICATES = {
+    # det of the leading k x k block is (1 - rho^2)^(k-1); n <= 1 is [1]
+    "symmetric": lambda h: True,
+    "posdef": lambda h: h.rows <= 1 or abs(h.params["rho"]) < 1,
+}
+
+
 def _kms_inverse(h):
     # tridiagonal: corners 1/(1-rho^2), interior diag (1+rho^2)/(1-rho^2),
     # off-diagonals -rho/(1-rho^2); defined iff rho^2 != 1
@@ -400,6 +430,9 @@ def _moler_element(params, i, j, kind):
     if i == j:
         return one(kind) + (i - 1) * a2
     return a + (min(i, j) - 1) * a2
+
+
+_MOLER_PREDICATES = {"symmetric": lambda h: True, "posdef": lambda h: isfinite(h.params["alpha"])}
 
 
 # -- forsythe -------------------------------------------------------------------
@@ -498,6 +531,16 @@ def _lotkin_element(params, i, j, kind):
     if i == 1:
         return one(kind)
     return ratio(kind, 1, i + j - 1)
+
+
+def _lotkin_det(h):
+    # H_n with row 1 set to ones: expanding along row 1, det = det(H_n) times
+    # the sum of column 1 of inv(H_n), which is (-1)^(n+1) n
+    n = h.rows
+    if n == 0:
+        return one(h.scalar_kind)
+    value = Fraction((-1) ** (n + 1) * n, _inv_hilbert_det_int(n))
+    return from_exact(h.scalar_kind, value, "determinant")
 
 
 # -- grcar --------------------------------------------------------------------
@@ -670,6 +713,7 @@ def register_builtins() -> None:
         _inversehilbert_element,
         det_fn=_inversehilbert_det,
         inverse_fn=_inversehilbert_inverse,
+        predicates=_SPD_PREDICATES,
     )
     _register(
         "cauchy",
@@ -685,6 +729,7 @@ def register_builtins() -> None:
         validate_fn=_cauchy_validate,
         scalar_kind_fn=_cauchy_kind,
         det_fn=_cauchy_det,
+        predicates={"symmetric": _cauchy_symmetric},
     )
     _register(
         "minij",
@@ -693,9 +738,10 @@ def register_builtins() -> None:
         ("symmetric", "posdef", "eigen", "inverse", "integer"),
         _minij_element,
         column_fn=_minij_column,
+        det_fn=_unit_det,
         eigvals_fn=_minij_eigvals,
         inverse_fn=_minij_inverse,
-        predicates=_MINIJ_PREDICATES,
+        predicates=_SPD_PREDICATES,
     )
     _register(
         "clement",
@@ -714,7 +760,9 @@ def register_builtins() -> None:
         ("symmetric", "posdef", "inverse", "totnonneg"),
         _lehmer_element,
         column_fn=_lehmer_column,
+        det_fn=_lehmer_det,
         inverse_fn=_lehmer_inverse,
+        predicates=_SPD_PREDICATES,
     )
     _register(
         "pei",
@@ -725,7 +773,7 @@ def register_builtins() -> None:
         eigvals_fn=_pei_eigvals,
         inverse_fn=_pei_inverse,
         det_fn=_pei_det,
-        predicates=_SYMMETRIC_PREDICATES,
+        predicates=_PEI_PREDICATES,
     )
     _register(
         "pascal",
@@ -735,6 +783,7 @@ def register_builtins() -> None:
         _pascal_element,
         column_fn=_pascal_column,
         det_fn=_unit_det,
+        predicates=_SPD_PREDICATES,
     )
     _register(
         "kms",
@@ -744,7 +793,7 @@ def register_builtins() -> None:
         _kms_element,
         inverse_fn=_kms_inverse,
         det_fn=_kms_det,
-        predicates=_SYMMETRIC_PREDICATES,
+        predicates=_KMS_PREDICATES,
     )
     _register(
         "moler",
@@ -753,7 +802,7 @@ def register_builtins() -> None:
         ("symmetric", "posdef", "illcond"),
         _moler_element,
         det_fn=_unit_det,
-        predicates=_SYMMETRIC_PREDICATES,
+        predicates=_MOLER_PREDICATES,
     )
     _register(
         "forsythe",
@@ -783,7 +832,14 @@ def register_builtins() -> None:
         column_fn=_banded(_frank_element, lambda p: (p["n"], 1, p["n"] - 1)),
         det_fn=_unit_det,
     )
-    _register("lotkin", (_n_param(),), RATIONAL64, ("inverse", "illcond", "eigen"), _lotkin_element)
+    _register(
+        "lotkin",
+        (_n_param(),),
+        RATIONAL64,
+        ("inverse", "illcond", "eigen"),
+        _lotkin_element,
+        det_fn=_lotkin_det,
+    )
     _register(
         "grcar",
         (_n_param(), ParamSpec("k", "dim", 3)),
@@ -810,6 +866,7 @@ def register_builtins() -> None:
         dims_fn=_poisson_dims,
         eigvals_fn=_poisson_eigvals,
         size_to_params=_poisson_size_to_params,
+        predicates=_SPD_PREDICATES,
     )
     _register(
         "companion",

@@ -44,13 +44,15 @@ def _require_square(h, what: str):
 # -- exact elimination: fraction-free Bareiss ------------------------------------
 
 
-def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False):
+def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False, leading: bool = False):
     """Fraction-free elimination of exact rows (Bareiss 1968).
 
     Each row is scaled to integers by the lcm of its denominators, which
     leaves the rank and the solutions unchanged. The pivot of each of the
     first ncols columns is its first nonzero entry at or below the current
-    row r; columns without one are skipped. Each row i below r becomes
+    row r; columns without one are skipped. leading=True takes no pivot
+    below row r, so that without a skip pivot k is the leading principal
+    minor of order k + 1 of the scaled matrix. Each row i below r becomes
     (p * a_ik - a_ic * a_rk) / d for k > c, with p the new pivot and d the
     previous one: exact, as every entry is a minor of the scaled matrix.
     jordan=True (solve, inverse) updates the rows above r the same way, so
@@ -73,7 +75,7 @@ def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False):
     for c in range(ncols):
         if r == m:
             break
-        p = next((i for i in range(r, m) if a[i][c]), None)
+        p = next((i for i in range(r, r + 1 if leading else m) if a[i][c]), None)
         if p is None:
             continue
         if p != r:
@@ -189,11 +191,12 @@ def _lu_solve_one(lu, perm, b):
 
 
 def _factor_or_raise(d: DenseMatrix):
-    bound = _singular_bound(frobenius_of_dense(d))
-    lu, perm, _, _, skipped = _lu_factor(d.to_rows(), d.cols, bound)
+    frob = frobenius_of_dense(d)
+    lu, perm, _, _, skipped = _lu_factor(d.to_rows(), d.cols, _singular_bound(frob))
     if skipped is not None:
         raise SingularMatrixError(
-            f"matrix is singular to working precision (no pivot in column {skipped + 1})"
+            f"matrix is singular to working precision (no pivot in column {skipped + 1} "
+            f"above {FLOAT_SINGULAR_RTOL:g} * ||A||_F = {FLOAT_SINGULAR_RTOL * frob:.1e})"
         )
     return lu, perm
 
@@ -484,9 +487,7 @@ def is_posdef(h: MatrixHandle) -> bool:
     fast = _predicate(h, "posdef")
     if fast is not None:
         return fast
-    if h.rows != h.cols:
-        return False
-    if not _scan_symmetric(h):
+    if h.rows != h.cols or not is_symmetric(h):
         return False
     return _cholesky_ok(_float_rows(h))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 from .core import DenseMatrix, MatrixHandle, columns, element, frobenius_of_dense, materialize
 from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
@@ -23,6 +24,7 @@ from .linalg import (
     _singular_bound,
     as_dense,
     cond1,
+    dense_is_diagonal,
     dense_is_symmetric,
     det_dense,
     inverse,
@@ -171,6 +173,14 @@ class _AuditContext:
     @cached_property
     def frob(self):
         return frobenius_of_dense(self.dense)
+
+    @cached_property
+    def condition(self):
+        """cond1 of the instance, or the TmatError that refused it."""
+        try:
+            return cond1(self.handle)
+        except TmatError as exc:
+            return exc
 
     @cached_property
     def bandwidths(self):
@@ -464,10 +474,9 @@ def _check_eigen_tag(ctx) -> AuditFinding:
 
 
 def _check_illcond(ctx) -> AuditFinding:
-    try:
-        c = cond1(ctx.handle)
-    except TmatError as exc:
-        return AuditFinding("illcond", NOT_CHECKABLE, f"advisory: {exc}")
+    c = ctx.condition
+    if isinstance(c, TmatError):
+        return AuditFinding("illcond", NOT_CHECKABLE, f"advisory: {c}")
     if c > ILLCOND_THRESHOLD:
         return AuditFinding("illcond", PASS, f"advisory: cond1 = {c:.3e}")
     return AuditFinding(
@@ -523,6 +532,67 @@ def _check_band(h) -> tuple[AuditFinding, ...]:
     return ()
 
 
+def _outcome(fn):
+    """fn(), or the name of the TmatError it raised."""
+    try:
+        return fn()
+    except TmatError as exc:
+        return type(exc).__name__
+
+
+def _check_det_fn(ctx) -> tuple[AuditFinding, ...]:
+    """A failing finding if a registered det_fn disagrees with det_dense:
+    exactly in rational64, where refusing on both sides is agreement; in
+    float64 within tol * cond1 relative, as LU's error grows with cond1."""
+    h = ctx.handle
+    if h.record.det_fn is None or h.rows != h.cols:
+        return ()
+    closed = _outcome(lambda: h.record.det_fn(h))
+    generic = _outcome(lambda: det_dense(ctx.dense))
+    if closed == generic:
+        return ()
+    if isinstance(closed, float) and isinstance(generic, float):
+        c = ctx.condition
+        if not isinstance(c, float) or not c < inf:
+            return ()  # LU's error has no bound
+        if abs(closed - generic) <= ctx.tol * c * max(abs(closed), abs(generic)):
+            return ()
+    return (AuditFinding("det_fn", FAIL, f"det_fn gives {closed}, det_dense {generic}"),)
+
+
+def _decide_posdef(ctx):
+    """Symmetric with every leading principal minor positive, read off one
+    fraction-free pass in rational64; float64 instances by Cholesky."""
+    d = ctx.dense
+    if d.scalar_kind != RATIONAL64:
+        return _check_posdef(ctx)
+    if not dense_is_symmetric(d):
+        return False
+    a, rank, _, _ = _bareiss(d.to_rows(), d.cols, leading=True)
+    return rank == d.rows and all(a[k][k] > 0 for k in range(rank))
+
+
+_PREDICATE_ROUTES = {
+    "symmetric": lambda ctx: dense_is_symmetric(ctx.dense),
+    "diagonal": lambda ctx: dense_is_diagonal(ctx.dense),
+    "posdef": _decide_posdef,
+}
+
+
+def _check_predicates(ctx) -> tuple[AuditFinding, ...]:
+    """A failing finding for each registered predicate that disagrees with
+    its generic route; a predicate answering None defers to that route."""
+    h = ctx.handle
+    findings = []
+    for name, fn in h.record.predicates.items():
+        route = _PREDICATE_ROUTES.get(name)
+        claimed = None if route is None else fn(h)
+        if claimed is not None and claimed != route(ctx):
+            note = f"{name} predicate gives {claimed} where the matrix says {not claimed}"
+            findings.append(AuditFinding("predicates", FAIL, note))
+    return tuple(findings)
+
+
 def audit(
     family_id: str,
     sizes: list[int],
@@ -536,8 +606,9 @@ def audit(
 
     Returns one report per size. Sizes over the audit bound, infeasible for
     the family, or whose entries overflow the scalar kind produce skipped
-    verdicts rather than errors. A family with a column_fn also gets a
-    failing `column_fn` finding where its band disagrees with element_fn.
+    verdicts rather than errors. A registered column_fn, det_fn or predicate
+    is cross-checked against its generic route, and only a disagreement adds
+    a finding: a failing `column_fn`, `det_fn` or `predicates` one.
     """
     rec = get_family(family_id)
     tags = rec.descriptor.tags
@@ -558,7 +629,7 @@ def audit(
                 skip = str(exc)
         if skip is None:
             findings = tuple(_audit_tag(tag, ctx, minor_bound) for tag in tags)
-            findings += _check_band(handle)
+            findings += _check_band(handle) + _check_det_fn(ctx) + _check_predicates(ctx)
         else:
             findings = tuple(AuditFinding(t, SKIPPED, skip) for t in tags)
         reports.append(AuditReport(family_id, size, findings))

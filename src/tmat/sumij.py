@@ -43,10 +43,11 @@ def _sumij_validate(params, kind):
     return {"m": m, "n": n}
 
 
+# every entry is positive, and a 2 x 2 leading block has determinant -1
 _SUMIJ_PREDICATES = {
-    "symmetric": lambda h: True,
-    "posdef": lambda h: False,
-    "diagonal": lambda h: h.cols <= 1,
+    "symmetric": lambda h: h.rows == h.cols,
+    "posdef": lambda h: h.rows == h.cols <= 1,
+    "diagonal": lambda h: h.rows == 0 or h.cols == 0 or (h.rows <= 1 and h.cols <= 1),
 }
 
 

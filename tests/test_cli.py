@@ -6,6 +6,7 @@ import tmat
 from tmat.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "hilbert2_array.mtx")
+AUDIT_GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "audit_builtin.txt")
 
 
 def run(capsys, *argv):
@@ -110,6 +111,15 @@ def test_audit_builtin_exits_zero(capsys):
     assert not any("\tfail" in line for line in lines)
     fields = lines[0].split("\t")
     assert fields[0] == "hilbert" and fields[1] == "4"
+
+
+def test_builtin_audit_output_matches_golden_file(capsys):
+    # the cross-checks of registered routines add lines only on a disagreement
+    sizes = [arg for n in range(1, 17) for arg in ("--size", str(n))]
+    code, out, _ = run(capsys, "audit", "--group", "builtin", *sizes)
+    assert code == 0
+    with open(AUDIT_GOLDEN, encoding="utf-8", newline="") as golden:
+        assert out == golden.read()
 
 
 def test_audit_sumij_rankdef(capsys):

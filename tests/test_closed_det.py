@@ -1,5 +1,6 @@
-"""Closed-form determinants on plain integers: hilbert, inversehilbert and
-cauchy against independent Fraction oracles, refusals included.
+"""Closed-form determinants on plain integers: hilbert, inversehilbert,
+cauchy, minij, lehmer and lotkin against independent Fraction oracles,
+refusals included.
 """
 
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tmat
-from oracles import cofactor_det
+from oracles import cofactor_det, frac_rows
 from tmat import FLOAT64, RATIONAL64, construct, determinant
 from tmat.catalog import _inv_hilbert_det_int
+from tmat.linalg import _bareiss
 from tmat.scalars import from_exact
 
 EXACT = settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -95,6 +97,42 @@ def test_cauchy_rational_det_with_unequal_generators():
     assert determinant(h).as_fraction() == cofactor_det(
         [[1 / Fraction(xi + yj) for yj in y] for xi in x]
     )
+
+
+# -- minij, lehmer and lotkin: closed products against elimination --------------
+
+
+def _fraction_det(rows):
+    """Exact determinant by Gaussian elimination on Fractions."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for row in a[c + 1:]:
+            f = row[c] / a[c][c]
+            row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], a[c][c + 1:])]
+    return det
+
+
+@settings(EXACT, max_examples=30)
+@given(family=st.sampled_from(["minij", "lehmer", "lotkin"]), n=st.integers(0, 24))
+def test_minij_lehmer_lotkin_dets_match_elimination(family, n):
+    # the entries always fit rational64; the determinants stop fitting at
+    # n = 7 (lotkin) and n = 20 (lehmer), where the closed form must refuse
+    rows = frac_rows(construct(family, n=n))
+    value = _bareiss(rows, n)[3]
+    assert value == _fraction_det(rows)
+    for kind in (RATIONAL64, FLOAT64):
+        got = _result(lambda: determinant(construct(family, n=n, scalar_kind=kind)))
+        want = _result(lambda: from_exact(kind, value, "determinant"))
+        assert got == want
+        assert type(got) is type(want)
 
 
 # -- refusals keep their exact wording --------------------------------------------

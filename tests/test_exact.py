@@ -153,6 +153,19 @@ def test_bareiss_det_matches_cofactor(rows):
 
 @EXACT
 @given(rows=rational_matrices())
+def test_bareiss_without_row_exchanges_reads_leading_minors(rows):
+    # pivot k is the leading minor of order k + 1 times positive row scales
+    square = _leading_square(rows)
+    n = len(square)
+    minors = [cofactor_det([row[:k] for row in square[:k]]) for k in range(1, n + 1)]
+    a, rank, _, _ = _bareiss([row[:] for row in square], n, leading=True)
+    assert (rank == n) == all(minors)
+    if rank == n:
+        assert [a[k][k] > 0 for k in range(n)] == [m > 0 for m in minors]
+
+
+@EXACT
+@given(rows=rational_matrices())
 def test_forward_and_gauss_jordan_bareiss_agree(rows):
     exact_rows = [[Rational64.from_number(v) for v in row] for row in rows]
     n = len(rows[0])

@@ -248,6 +248,19 @@ def test_solve_examples():
         solve(construct("jordbloc", n=2, lam=0), [1, 1])
 
 
+def test_float_singular_message_names_its_bound():
+    # pascal(300) is unimodular, but its Frobenius norm puts the bound of
+    # column 1, whose entries are all 1, at 4.5e165
+    h = construct("pascal", n=300, scalar_kind=tmat.FLOAT64)
+    assert determinant(h) == 1.0
+    with pytest.raises(SingularMatrixError) as info:
+        solve(h, [1.0] * 300)
+    assert str(info.value) == (
+        "matrix is singular to working precision "
+        "(no pivot in column 1 above 1e-13 * ||A||_F = 4.5e+165)"
+    )
+
+
 def test_rank_examples():
     assert rank(construct("hilbert", n=4)) == 4
     assert rank(construct("hilbert", m=2, n=5)) == 2

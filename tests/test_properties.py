@@ -162,6 +162,62 @@ def test_wrong_closed_spectrum_fails_eigen_audit():
         assert [f.verdict for f in report.findings] == ["fail"], render_audit([report])
 
 
+@pytest.mark.parametrize("base", ["jordbloc", "lehmer"])
+def test_wrong_closed_det_fails_det_audit(base):
+    # float64 (checked within tol * cond1) and rational64 (checked exactly)
+    record = get_family(base)
+    register_family(
+        FamilyDescriptor(
+            id="wrongdet",
+            params=record.descriptor.params,
+            default_scalar_kind=record.descriptor.default_scalar_kind,
+            tags=(),
+            capabilities=frozenset({"closed_det"}),
+        ),
+        record.element_fn,
+        det_fn=lambda h: 1 + record.det_fn(h),
+    )
+    for report in audit("wrongdet", [3, 5]):
+        assert [(f.tag, f.verdict) for f in report.findings] == [("det_fn", "fail")]
+
+
+@pytest.mark.parametrize(
+    "base, params, name, claim",
+    [
+        ("jordbloc", None, "symmetric", True),
+        ("lehmer", None, "posdef", False),
+        ("pei", {"alpha": 0}, "posdef", True),  # ones: a zero leading minor
+        ("pei", {"alpha": -4}, "posdef", True),  # a negative leading minor
+        ("kms", {"rho": 1.5}, "posdef", True),  # float64, by Cholesky
+        ("minij", None, "diagonal", True),
+    ],
+)
+def test_wrong_predicate_fails_predicate_audit(base, params, name, claim):
+    record = get_family(base)
+    register_family(
+        FamilyDescriptor(
+            id="wrongpredicate",
+            params=record.descriptor.params,
+            default_scalar_kind=record.descriptor.default_scalar_kind,
+            tags=(),
+            capabilities=frozenset({"closed_predicates"}),
+        ),
+        record.element_fn,
+        # a predicate name with no generic route is not checked
+        predicates={name: lambda h: claim, "other": lambda h: claim},
+    )
+    for report in audit("wrongpredicate", [3, 5], params):
+        assert [(f.tag, f.verdict) for f in report.findings] == [("predicates", "fail")]
+        assert report.findings[0].note.startswith(f"{name} predicate gives {claim}")
+
+
+def test_det_audit_agrees_when_both_routes_refuse():
+    # det(lotkin_16) and det(hilbert_16) do not fit rational64 on either route
+    for family in ("lotkin", "hilbert"):
+        (report,) = audit(family, [16])
+        assert not [f for f in report.findings if f.tag == "det_fn"]
+
+
 def test_existential_mistag_softens_to_not_checkable():
     register_family(
         FamilyDescriptor(

@@ -30,6 +30,10 @@ def test_specialized_predicates():
     assert is_posdef(h) is False
     assert is_diagonal(h) is False
     assert is_diagonal(construct("sumij", n=1)) is True
+    # [2] is positive definite; a column of two positive entries is not diagonal
+    assert is_posdef(construct("sumij", n=1)) is True
+    assert is_diagonal(construct("sumij", m=2, n=1)) is False
+    assert is_symmetric(construct("sumij", m=2, n=3)) is False
 
 
 def test_declared_tags():

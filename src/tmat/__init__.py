@@ -50,7 +50,7 @@ from . import registry as _registry  # noqa: E402  (needs the catalog registered
 
 _registry._sync_builtin()
 
-from .harness import ErrorPolicy, HarnessRecord, test_algorithm  # noqa: E402
+from .harness import HarnessRecord, test_algorithm  # noqa: E402
 from .linalg import (  # noqa: E402
     cond1,
     determinant,
@@ -93,7 +93,6 @@ __all__ = [
     "ConvergenceError",
     "DenseMatrix",
     "DuplicateFamilyError",
-    "ErrorPolicy",
     "FLOAT64",
     "FamilyDescriptor",
     "GROUP_FILE_MAGIC",

@@ -677,18 +677,8 @@ def _n_param():
     return ParamSpec("n", "dim")
 
 
-_CAPABILITY_OF = {
-    "det_fn": "closed_det",
-    "inverse_fn": "closed_inverse",
-    "eigvals_fn": "closed_eigvals",
-    "predicates": "closed_predicates",
-}
-
-
 def _register(fid, params, kind, tags, element_fn, **routines):
-    """Register one builtin; it declares exactly the closed forms it passes."""
-    caps = frozenset(cap for key, cap in _CAPABILITY_OF.items() if key in routines)
-    register_family(FamilyDescriptor(fid, params, kind, tags, caps), element_fn, **routines)
+    register_family(FamilyDescriptor(fid, params, kind, tags), element_fn, **routines)
 
 
 def register_builtins() -> None:

@@ -1,24 +1,23 @@
 """Family registry: descriptors, parameter validation, and construction.
 
 Each matrix family registers a descriptor (identifier, parameter schema,
-property tags, capability flags), an element formula, an optional column
-kernel that returns the nonzero band of a column, and optional specialized
-routines (closed-form determinant, inverse, spectrum, and O(1)
-predicates) that the linalg dispatch layer prefers over generic fallbacks.
+property tags), an element formula, an optional column kernel that returns
+the nonzero band of a column, and optional specialized routines (closed-form
+determinant, inverse, spectrum, and O(1) predicates) that the linalg dispatch
+layer prefers over generic fallbacks. The routines passed are the family's
+capabilities: the stored descriptor lists exactly those.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import MatrixHandle
 from .errors import DuplicateFamilyError, ParameterError, UnknownFamilyError
 from .scalars import RATIONAL64, Rational64, check_kind
-
-CAPABILITIES = ("closed_det", "closed_inverse", "closed_eigvals", "closed_predicates")
 
 _REQUIRED = object()
 
@@ -47,7 +46,7 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """Static metadata for one family."""
+    """Static metadata for one family; capabilities are derived at registration."""
 
     id: str
     params: tuple[ParamSpec, ...]
@@ -75,9 +74,6 @@ class FamilyRecord:
     @property
     def id(self) -> str:
         return self.descriptor.id
-
-    def has_capability(self, cap: str) -> bool:
-        return cap in self.descriptor.capabilities
 
 
 _LOCK = threading.RLock()
@@ -110,6 +106,9 @@ def register_family(
     column_fn(params, j, kind) -> (first_row, values) is optional: values are
     rows first_row .. first_row + len(values) - 1 of column j, every entry
     outside them is exactly zero(kind), and each value equals element_fn's.
+    The descriptor is stored with capabilities naming the routines passed
+    (det_fn, inverse_fn, eigvals_fn, a non-empty predicates); one that
+    declares a different non-empty set is refused.
     """
     with _LOCK:
         fid = descriptor.id
@@ -122,24 +121,26 @@ def register_family(
                     f"unknown property '{tag}' for family '{fid}'; "
                     f"tags must come from the builtin vocabulary"
                 )
-        for cap in descriptor.capabilities:
-            if cap not in CAPABILITIES:
-                raise ParameterError(f"unknown capability '{cap}' for family '{fid}'")
-        routine_for = {
+        routines = {
             "closed_det": det_fn,
             "closed_inverse": inverse_fn,
             "closed_eigvals": eigvals_fn,
             "closed_predicates": predicates,
         }
-        for cap in descriptor.capabilities:
-            if not routine_for[cap]:
-                raise ParameterError(
-                    f"family '{fid}' declares capability '{cap}' without a routine"
-                )
+        caps = frozenset(cap for cap, routine in routines.items() if routine)
+        declared = descriptor.capabilities
+        if declared and declared != caps:
+            missing = sorted(declared - caps)
+            raise ParameterError(
+                f"family '{fid}' declares capability '{missing[0]}' without a routine"
+                if missing
+                else f"family '{fid}' declares {sorted(declared)} "
+                f"but passes routines for {sorted(caps)}"
+            )
         if dims_fn is None:
             dims_fn = lambda params: (params["n"], params["n"])  # noqa: E731
         _FAMILIES[fid] = FamilyRecord(
-            descriptor=descriptor,
+            descriptor=replace(descriptor, capabilities=caps),
             element_fn=element_fn,
             dims_fn=dims_fn,
             column_fn=column_fn,

@@ -14,28 +14,12 @@ from time import perf_counter_ns
 from typing import Callable, Optional, Sequence
 
 from . import registry
-from .core import materialize
 from .errors import HarnessError
 from .families import construct, feasible_size
 from .linalg import determinant, entry_sum, frobenius_norm, is_symmetric
 
 OK = "ok"
 WARNING = "warning"
-
-
-@dataclass(frozen=True)
-class ErrorPolicy:
-    errors_as_warnings: bool = False
-    ignore_errors: bool = False
-
-    @property
-    def mode(self) -> str:
-        # ignoring takes precedence when both flags are set
-        if self.ignore_errors:
-            return "ignore"
-        if self.errors_as_warnings:
-            return "warn"
-        return "strict"
 
 
 @dataclass(frozen=True)
@@ -47,15 +31,6 @@ class HarnessRecord:
     message: str = ""
 
 
-def _run_one(family_id: str, size: int, fn: Callable, materialize_first: bool):
-    params = feasible_size(family_id, size)
-    if params is None:
-        raise HarnessError(f"size {size} is infeasible for family '{family_id}'")
-    handle = construct(family_id, params)
-    arg = materialize(handle) if materialize_first else handle
-    return fn(arg)
-
-
 def test_algorithm(
     fn: Callable,
     sizes: Sequence[int],
@@ -63,24 +38,16 @@ def test_algorithm(
     props: Optional[Sequence[str]] = None,
     groups: Optional[Sequence[str]] = None,
     exclude: Sequence[str] = (),
-    policy: Optional[ErrorPolicy] = None,
     errors_as_warnings: bool = False,
     ignore_errors: bool = False,
-    materialize_first: bool = False,
 ) -> list[HarnessRecord]:
-    """Apply fn to every matching (family, size) pair, in registration order.
-
-    fn receives the lazy handle (or a dense copy with materialize_first=True,
-    for algorithms that need explicit storage).
-    """
+    """Apply fn to the lazy handle of every matching (family, size) pair, in
+    registration order."""
     if not sizes:
         raise HarnessError("sizes must be non-empty")
     for s in sizes:
         if s < 1:
             raise HarnessError(f"sizes must be >= 1, got {s}")
-    if policy is None:
-        policy = ErrorPolicy(errors_as_warnings=errors_as_warnings, ignore_errors=ignore_errors)
-    mode = policy.mode
 
     matching = registry.list_matrices(list(groups) if groups else None, list(props) if props else None)
     excluded = set(exclude)
@@ -90,12 +57,15 @@ def test_algorithm(
     for family_id in matching:
         for size in sizes:
             try:
-                value = _run_one(family_id, size, fn, materialize_first)
-            except Exception as exc:  # the policy decides
-                if mode == "ignore":
+                params = feasible_size(family_id, size)
+                if params is None:
+                    raise HarnessError(f"size {size} is infeasible for family '{family_id}'")
+                value = fn(construct(family_id, params))
+            except Exception as exc:  # the policy decides; ignoring wins
+                if ignore_errors:
                     continue
                 message = f"{family_id} at size {size}: {exc}"
-                if mode == "strict":
+                if not errors_as_warnings:
                     raise HarnessError(message) from exc
                 warnings.warn(message)
                 records.append(HarnessRecord(family_id, size, WARNING, message=message))
@@ -133,7 +103,6 @@ FN_MENU: dict[str, Callable] = {
 }
 
 __all__ = [
-    "ErrorPolicy",
     "HarnessRecord",
     "test_algorithm",
     "feasible_size",

@@ -10,7 +10,7 @@ use a cyclic Jacobi sweep.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum, hypot, lcm, nextafter, prod, sqrt
+from math import frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
 
 from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
 from .errors import (
@@ -245,14 +245,23 @@ def jacobi_eigvals(rows: list[list[float]], max_sweeps: int = 100, tol_factor: f
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Converges when the off-diagonal Frobenius norm drops below
-    tol_factor * ||A||_F; raises ConvergenceError after max_sweeps.
+    tol_factor * ||A||_F; raises ConvergenceError after max_sweeps. The
+    rotations run on A / 2**e, e the binary exponent of the largest entry,
+    so no square overflows; both scalings are exact within the normal float
+    range, and an eigenvalue beyond the float range comes back infinite.
     """
     n = len(rows)
     if n == 0:
         return []
     if n == 1:
         return [rows[0][0]]
-    a = [[float(v) for v in row] for row in rows]
+    e = frexp(max(abs(float(v)) for row in rows for v in row))[1]
+    a = [[ldexp(float(v), -e) for v in row] for row in rows]
+
+    def spectrum():
+        diagonal = (a[i][i] for i in range(n))
+        return sorted(ldexp(v, e) if frexp(v)[1] + e <= 1024 else v * inf for v in diagonal)
+
     frob = sqrt(fsum(v * v for row in a for v in row))
     thresh = tol_factor * frob
 
@@ -261,7 +270,7 @@ def jacobi_eigvals(rows: list[list[float]], max_sweeps: int = 100, tol_factor: f
 
     for _ in range(max_sweeps):
         if off_norm() <= thresh:
-            return sorted(a[i][i] for i in range(n))
+            return spectrum()
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -283,20 +292,23 @@ def jacobi_eigvals(rows: list[list[float]], max_sweeps: int = 100, tol_factor: f
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
     if off_norm() <= thresh:
-        return sorted(a[i][i] for i in range(n))
+        return spectrum()
     raise ConvergenceError("Jacobi eigensolver did not converge within the sweep limit")
 
 
 def _cholesky_ok(rows: list[list[float]]) -> bool:
     n = len(rows)
     low = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        s = rows[j][j] - fsum(low[j][k] ** 2 for k in range(j))
-        if s <= 0.0:
-            return False
-        low[j][j] = sqrt(s)
-        for i in range(j + 1, n):
-            low[i][j] = (rows[i][j] - fsum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    try:
+        for j in range(n):
+            s = rows[j][j] - fsum(low[j][k] ** 2 for k in range(j))
+            if not 0.0 < s < inf:  # a NaN or infinite pivot fails too
+                return False
+            low[j][j] = sqrt(s)
+            for i in range(j + 1, n):
+                low[i][j] = (rows[i][j] - fsum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    except (OverflowError, ValueError):  # |l_ij| <= sqrt(a_ii) when A is positive definite
+        return False
     return True
 
 
@@ -313,6 +325,18 @@ def dense_is_symmetric(d: DenseMatrix) -> bool:
             if data[base + i] != data[i * n + j]:
                 return False
     return True
+
+
+def dense_is_posdef(d: DenseMatrix) -> bool:
+    """Symmetric and positive definite. In rational64 every leading principal
+    minor is positive, read off one fraction-free pass without row exchanges
+    (pivot k is the minor of order k + 1); in float64 Cholesky succeeds."""
+    if not dense_is_symmetric(d):
+        return False
+    if d.scalar_kind == RATIONAL64:
+        a, rank, _, _ = _bareiss(d.to_rows(), d.cols, leading=True)
+        return rank == d.rows and all(a[k][k] > 0 for k in range(rank))
+    return _cholesky_ok(d.to_rows())
 
 
 def dense_is_diagonal(d: DenseMatrix) -> bool:
@@ -355,7 +379,7 @@ def determinant(h: MatrixHandle):
     """Closed-form determinant when registered, else pivoted LU."""
     _require_square(h, "determinant")
     rec = h.record
-    if rec.has_capability("closed_det"):
+    if rec.det_fn is not None:
         return rec.det_fn(h)
     return det_dense(materialize(h))
 
@@ -365,7 +389,7 @@ def inverse(h: MatrixHandle):
     else dense LU inverse. Raises SingularMatrixError on singular input."""
     _require_square(h, "inverse")
     rec = h.record
-    if rec.has_capability("closed_inverse"):
+    if rec.inverse_fn is not None:
         result = rec.inverse_fn(h)
         if result is not None:
             return result
@@ -377,7 +401,7 @@ def eigvals(h: MatrixHandle):
     which requires a symmetric matrix."""
     _require_square(h, "eigvals")
     rec = h.record
-    if rec.has_capability("closed_eigvals"):
+    if rec.eigvals_fn is not None:
         return rec.eigvals_fn(h)
     if not is_symmetric(h):
         raise UnsupportedOperationError(
@@ -417,12 +441,8 @@ def frobenius_norm(h: MatrixHandle) -> float:
 
 
 def _predicate(h: MatrixHandle, name: str):
-    rec = h.record
-    if rec.has_capability("closed_predicates"):
-        fn = rec.predicates.get(name)
-        if fn is not None:
-            return fn(h)
-    return None
+    fn = h.record.predicates.get(name)
+    return None if fn is None else fn(h)
 
 
 def _band_symmetric(h: MatrixHandle) -> bool:
@@ -487,9 +507,7 @@ def is_posdef(h: MatrixHandle) -> bool:
     fast = _predicate(h, "posdef")
     if fast is not None:
         return fast
-    if h.rows != h.cols or not is_symmetric(h):
-        return False
-    return _cholesky_ok(_float_rows(h))
+    return is_symmetric(h) and _scan(h, lambda g: dense_is_posdef(materialize(g)))
 
 
 def solve(h: MatrixHandle, rhs: list) -> list:

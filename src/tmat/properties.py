@@ -19,12 +19,12 @@ from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPro
 from .families import construct, feasible_size, get_family
 from .linalg import (
     _bareiss,
-    _cholesky_ok,
     _lu_factor,
     _singular_bound,
     as_dense,
     cond1,
     dense_is_diagonal,
+    dense_is_posdef,
     dense_is_symmetric,
     det_dense,
     inverse,
@@ -171,6 +171,14 @@ class _AuditContext:
         return DenseMatrix(d.cols, d.rows, [v for row in self.float_rows for v in row], FLOAT64)
 
     @cached_property
+    def symmetric(self):
+        return dense_is_symmetric(self.dense)
+
+    @cached_property
+    def posdef(self):
+        return dense_is_posdef(self.dense)
+
+    @cached_property
     def frob(self):
         return frobenius_of_dense(self.dense)
 
@@ -199,7 +207,7 @@ def _all_entries(d):
 
 
 def _check_symmetric(ctx):
-    return dense_is_symmetric(ctx.dense)
+    return ctx.symmetric
 
 
 def _check_triangular(ctx):
@@ -296,9 +304,7 @@ def _near_identity(ctx, product):
 
 
 def _check_posdef(ctx):
-    if not dense_is_symmetric(ctx.dense):
-        return False
-    return _cholesky_ok(ctx.float_rows)
+    return ctx.posdef
 
 
 def _check_orthogonal(ctx):
@@ -351,7 +357,7 @@ def _check_rankdef(ctx):
 
 def _check_correlation(ctx):
     d = ctx.dense
-    if d.rows != d.cols or not dense_is_symmetric(d):
+    if not ctx.symmetric:
         return False
     if any(d.get(i, i) != 1 for i in range(1, d.rows + 1)):
         return False
@@ -363,7 +369,7 @@ def _check_indefinite(ctx):
     d = ctx.dense
     if d.rows != d.cols:
         return False
-    if not dense_is_symmetric(d):
+    if not ctx.symmetric:
         raise TmatError("indefiniteness check requires a symmetric matrix")
     vals = jacobi_eigvals(ctx.float_rows)
     gate = ctx.tol * max(1.0, ctx.frob)
@@ -441,13 +447,13 @@ def _check_inverse_tag(ctx) -> AuditFinding:
 def _check_eigen_tag(ctx) -> AuditFinding:
     h = ctx.handle
     rec = h.record
-    if not rec.has_capability("closed_eigvals"):
+    if rec.eigvals_fn is None:
         return AuditFinding("eigen", NOT_CHECKABLE, "no closed-form spectrum registered")
     closed = rec.eigvals_fn(h)
     n = h.rows
     as_complex = [complex(c) for c in closed]
     all_real = all(abs(z.imag) <= 1e-12 * max(1.0, abs(z)) for z in as_complex)
-    if all_real and dense_is_symmetric(ctx.dense):
+    if all_real and ctx.symmetric:
         oracle = jacobi_eigvals(ctx.float_rows)
         worst = max(
             (abs(c - o) for c, o in zip(sorted(z.real for z in as_complex), oracle)),
@@ -560,22 +566,10 @@ def _check_det_fn(ctx) -> tuple[AuditFinding, ...]:
     return (AuditFinding("det_fn", FAIL, f"det_fn gives {closed}, det_dense {generic}"),)
 
 
-def _decide_posdef(ctx):
-    """Symmetric with every leading principal minor positive, read off one
-    fraction-free pass in rational64; float64 instances by Cholesky."""
-    d = ctx.dense
-    if d.scalar_kind != RATIONAL64:
-        return _check_posdef(ctx)
-    if not dense_is_symmetric(d):
-        return False
-    a, rank, _, _ = _bareiss(d.to_rows(), d.cols, leading=True)
-    return rank == d.rows and all(a[k][k] > 0 for k in range(rank))
-
-
 _PREDICATE_ROUTES = {
-    "symmetric": lambda ctx: dense_is_symmetric(ctx.dense),
+    "symmetric": _check_symmetric,
     "diagonal": lambda ctx: dense_is_diagonal(ctx.dense),
-    "posdef": _decide_posdef,
+    "posdef": _check_posdef,
 }
 
 

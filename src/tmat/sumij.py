@@ -59,7 +59,6 @@ def install_sumij() -> None:
             params=(ParamSpec("m", "dim", None), ParamSpec("n", "dim", None)),
             default_scalar_kind=RATIONAL64,
             tags=("symmetric", "integer", "positive", "rankdef"),
-            capabilities=frozenset({"closed_predicates"}),
         ),
         _sumij_element,
         dims_fn=lambda p: (p["m"], p["n"]),

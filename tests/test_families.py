@@ -98,6 +98,49 @@ def test_capability_requires_routine():
         register_family(desc, lambda p, i, j, k: 0.0)
 
 
+def test_routines_are_the_capabilities():
+    # 2I, with no capabilities declared: the routines passed are dispatched
+    calls = []
+
+    def routine(name, value):
+        return lambda h: calls.append(name) or value
+
+    register_family(
+        FamilyDescriptor("undeclared", (ParamSpec("n", "dim"),), tmat.FLOAT64, ()),
+        lambda p, i, j, k: 2.0 if i == j else 0.0,
+        det_fn=routine("det", 9.0),  # wrong on purpose: 2**3 is 8
+        eigvals_fn=routine("eigvals", [2.0, 2.0, 2.0]),
+        predicates={"symmetric": routine("symmetric", True)},
+    )
+    h = construct("undeclared", n=3)
+    assert determinant(h) == 9.0
+    assert eigvals(h) == [2.0, 2.0, 2.0]
+    assert tmat.is_symmetric(h) is True
+    assert calls == ["det", "eigvals", "symmetric"]
+    assert get_family("undeclared").descriptor.capabilities == {
+        "closed_det",
+        "closed_eigvals",
+        "closed_predicates",
+    }
+    # and the audit cross-checks the routine dispatch answered with
+    (report,) = tmat.audit("undeclared", [3])
+    assert [(f.tag, f.verdict) for f in report.findings] == [("det_fn", "fail")]
+
+
+def test_declared_capabilities_must_name_every_routine():
+    desc = FamilyDescriptor(
+        id="underdeclared",
+        params=(ParamSpec("n", "dim"),),
+        default_scalar_kind=tmat.FLOAT64,
+        tags=(),
+        capabilities=frozenset({"closed_det"}),
+    )
+    with pytest.raises(ParameterError, match="passes routines for"):
+        register_family(
+            desc, lambda p, i, j, k: 0.0, det_fn=lambda h: 0.0, eigvals_fn=lambda h: []
+        )
+
+
 def test_unknown_family():
     with pytest.raises(UnknownFamilyError):
         construct("wathen", n=4)

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 import tmat
-from tmat import ErrorPolicy, HarnessError, construct, entry_sum
+from tmat import HarnessError, construct, entry_sum
 from tmat import test_algorithm as run_batch
 from tmat.harness import FN_MENU, OK, WARNING
 from tmat.linalg import determinant
@@ -116,11 +116,11 @@ def test_policy_precedence_ignore_wins():
     def boom(handle):
         raise ValueError("always")
 
-    policy = ErrorPolicy(errors_as_warnings=True, ignore_errors=True)
-    assert policy.mode == "ignore"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = run_batch(boom, [1, 2], groups=["builtin"], policy=policy)
+        records = run_batch(
+            boom, [1, 2], groups=["builtin"], errors_as_warnings=True, ignore_errors=True
+        )
     assert records == []
     assert caught == []
 
@@ -142,17 +142,6 @@ def test_determinism():
     assert [(r.family, r.size, str(r.value)) for r in a] == [
         (r.family, r.size, str(r.value)) for r in b
     ]
-
-
-def test_materialize_first_passes_dense():
-    seen = []
-
-    def probe(matrix):
-        seen.append(type(matrix).__name__)
-        return 0
-
-    run_batch(probe, [2], props=["totnonneg"], materialize_first=True)
-    assert seen == ["DenseMatrix"]
 
 
 def test_exclusion_applies_after_filtering():

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from tmat.linalg import (
     _float_rows,
     as_dense,
     dense_is_diagonal,
+    dense_is_posdef,
     dense_is_symmetric,
     det_dense,
     inverse_dense,
@@ -388,6 +391,58 @@ def test_jacobi_random_symmetric_identities():
         trace = sum(rows[i][i] for i in range(n))
         assert abs(det - math.prod(vals)) <= 1e-8 * max(1.0, abs(det))
         assert abs(trace - sum(vals)) <= 1e-10
+
+
+def test_jacobi_scales_out_of_the_overflow_range():
+    rows = _float_rows(construct("wilkinson", n=5))
+    huge = [[math.ldexp(v, 900) for v in row] for row in rows]
+    assert jacobi_eigvals(huge) == [math.ldexp(v, 900) for v in jacobi_eigvals(rows)]
+    assert jacobi_eigvals([[1e308, 1e308], [1e308, 1e308]]) == [0.0, math.inf]
+
+
+@pytest.mark.parametrize("family, params", [("kms", {"rho": 1e100}), ("moler", {"alpha": 1e110})])
+def test_jacobi_eigvals_of_huge_entries(family, params):
+    h = construct(family, n=3, scalar_kind=tmat.FLOAT64, **params)
+    vals = eigvals(h)
+    assert all(math.isfinite(v) for v in vals)
+    assert abs(sum(vals) - sum(tmat.element(h, i, i) for i in range(1, 4))) <= 1e-12 * max(map(abs, vals))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1e-100, 1e200], [1e200, 1.0]],  # l_21 = 1e250: its square overflows
+        [[1e308, 1e308], [1e308, 1e308]],
+        [[math.nan]],
+        [[1.0, 0.0], [0.0, math.nan]],
+        [[math.inf, 1.0], [1.0, 1.0]],
+    ],
+)
+def test_float_posdef_is_false_on_overflow_and_non_finite_entries(rows):
+    assert dense_is_posdef(DenseMatrix.from_rows(rows, tmat.FLOAT64)) is False
+
+
+def _callers(name, keyword=None):
+    """Names of the functions in the tmat package that call name (with keyword)."""
+    found = []
+    for path in sorted(Path(tmat.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == name
+                    and (keyword is None or any(k.arg == keyword for k in node.keywords))
+                ):
+                    found.append(fn.name)
+    return found
+
+
+def test_one_posdef_decision_per_scalar_kind():
+    # is_posdef's fallback, the posdef tag check and the predicate cross-check share it
+    assert _callers("_cholesky_ok") == ["dense_is_posdef"]
+    assert _callers("_bareiss", "leading") == ["dense_is_posdef"]
 
 
 def test_lu_pivoting_deterministic_and_exact():

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 import tmat
 from oracles import frac_rows, naive_diagonal, naive_symmetric
-from tmat import FLOAT64, RATIONAL64, construct, is_posdef, is_symmetric
+from tmat import (
+    FLOAT64,
+    RATIONAL64,
+    FamilyDescriptor,
+    ParamSpec,
+    Rational64,
+    construct,
+    is_posdef,
+    is_symmetric,
+    register_family,
+)
 from tmat.families import get_family
 from tmat.linalg import _predicate, _scan_diagonal, _scan_symmetric
 
@@ -131,3 +141,43 @@ def test_is_posdef_never_scans_a_family_with_a_symmetric_predicate(family, monke
 
     monkeypatch.setattr(tmat.linalg, "_band_symmetric", no_scan)
     assert is_posdef(h) is want
+
+
+# -- is_posdef without a posdef predicate: one decision per scalar kind --------------------
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_is_posdef_of_rational_cauchy_is_exact(n):
+    # positive definite, but cond2 is beyond 1/u: float Cholesky fails from n = 14
+    assert get_family("cauchy").predicates.get("posdef") is None
+    assert is_posdef(construct("cauchy", n=n)) is True
+
+
+def test_is_posdef_of_float_cauchy_is_cholesky():
+    assert is_posdef(construct("cauchy", n=13, scalar_kind=FLOAT64)) is True
+    assert is_posdef(construct("cauchy", n=14, scalar_kind=FLOAT64)) is False
+
+
+def test_is_posdef_retries_on_the_float_twin_when_an_entry_overflows():
+    x = [2**62, 2**61, 2**60]  # the denominator of 1 / (x_1 + x_1) overflows rational64
+    assert is_posdef(construct("cauchy", x=x, y=x)) is True
+
+
+@pytest.mark.parametrize(
+    "table, want",
+    [
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+        ([[0, 0, 1], [0, -1, 0], [1, 0, 0]], False),  # leading minors 0, 0, 1
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], False),  # leading minors 1, 0, 0
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], False),  # leading minors 1, -3, -3
+        ([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], False),  # leading minors -1, 1, 1
+    ],
+)
+def test_is_posdef_of_a_rational_user_matrix_reads_its_leading_minors(table, want):
+    register_family(
+        FamilyDescriptor("table", (ParamSpec("n", "dim"),), RATIONAL64, ("symmetric",)),
+        lambda p, i, j, kind: (Rational64 if kind == RATIONAL64 else float)(table[i - 1][j - 1]),
+    )
+    h = construct("table", n=3)
+    assert is_symmetric(h) is True
+    assert is_posdef(h) is want is _posdef_oracle(frac_rows(h))

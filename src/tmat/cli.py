@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-from time import perf_counter_ns
 
 from . import harness, mmio, properties, registry
-from .core import DenseMatrix, materialize
+from .core import materialize
 from .errors import TmatError
 from .families import construct, feasible_size, is_registered
 from .linalg import (
-    _float_rows,
+    _float_twin,
     dense_is_symmetric,
     dense_sum,
     det_dense,
@@ -151,23 +149,13 @@ def _cmd_audit(args) -> int:
     return 1 if failed else 0
 
 
-def _median_ns(fn, reps: int) -> tuple[int, object]:
-    value = None
-    times = []
-    for _ in range(reps):
-        start = perf_counter_ns()
-        value = fn()
-        times.append(perf_counter_ns() - start)
-    return int(statistics.median(times)), value
-
-
 def _cmd_bench(args) -> int:
     if args.type is None:
         args.type = "f64"  # benches time float64 evaluation unless asked otherwise
     handle = _build_handle(args)
     reps = max(args.reps, 5)
     if args.dense:
-        dense = DenseMatrix.from_rows(_float_rows(handle), FLOAT64)
+        dense = materialize(_float_twin(handle))
         ops = {
             "det": lambda: det_dense(dense),
             "sum": lambda: dense_sum(dense),
@@ -181,7 +169,7 @@ def _cmd_bench(args) -> int:
             "issymmetric": lambda: is_symmetric(handle),
         }
         variant = "lazy"
-    median, value = _median_ns(ops[args.op], reps)
+    median, value = harness.median_ns(ops[args.op], reps)
     if isinstance(value, Rational64):
         value = float(value)  # benches report decimal payloads
     print(f"{args.op}\t{variant}\t{median}\t{_render_value(value)}")

@@ -86,10 +86,20 @@ def _fn_issymmetric(handle):
     return is_symmetric(handle)
 
 
+def median_ns(fn, reps: int) -> tuple[int, object]:
+    """(median wall-clock nanoseconds of reps calls of fn, fn's last value)."""
+    times = []
+    for _ in range(reps):
+        start = perf_counter_ns()
+        value = fn()
+        times.append(perf_counter_ns() - start)
+    times.sort()
+    mid = len(times) // 2
+    return (times[mid] + times[~mid]) // 2, value  # the middle pair's mean when reps is even
+
+
 def _fn_timing(handle):
-    start = perf_counter_ns()
-    frobenius_norm(handle)
-    return perf_counter_ns() - start
+    return median_ns(lambda: frobenius_norm(handle), 1)[0]
 
 
 # Algorithms runnable from the CLI, where arbitrary closures cannot cross the
@@ -105,6 +115,7 @@ FN_MENU: dict[str, Callable] = {
 __all__ = [
     "HarnessRecord",
     "test_algorithm",
+    "median_ns",
     "feasible_size",
     "FN_MENU",
     "OK",

@@ -24,6 +24,8 @@ from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, zero
 FLOAT_SINGULAR_RTOL = 1e-13  # pivot below this times ||A||_F is singular
 FLOAT_RANK_RTOL = 1e-10  # pivot at or below this times ||A||_F is zero
 COND1_DIM_BOUND = 64
+JACOBI_MAX_SWEEPS = 100
+JACOBI_RTOL = 1e-14  # converged once the off-diagonal norm is below this times ||A||_F
 
 
 def as_dense(obj) -> DenseMatrix:
@@ -107,7 +109,7 @@ def _exact_solve(d: DenseMatrix, rhs_rows: list[list], what: str) -> list[list]:
 
 
 def _singular_bound(scale: float) -> float:
-    """The exclusive pivot bound of det, solve, inverse and the eigen audit:
+    """The exclusive pivot bound of det, solve and inverse:
     a pivot passes when it is nonzero and at least FLOAT_SINGULAR_RTOL * scale."""
     return nextafter(FLOAT_SINGULAR_RTOL * scale, 0.0)
 
@@ -241,11 +243,11 @@ def rank_dense(d: DenseMatrix) -> int:
 # -- cyclic Jacobi for symmetric float matrices --------------------------------
 
 
-def jacobi_eigvals(rows: list[list[float]], max_sweeps: int = 100, tol_factor: float = 1e-14) -> list[float]:
+def jacobi_eigvals(rows: list[list[float]]) -> list[float]:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Converges when the off-diagonal Frobenius norm drops below
-    tol_factor * ||A||_F; raises ConvergenceError after max_sweeps. The
+    JACOBI_RTOL * ||A||_F; raises ConvergenceError after JACOBI_MAX_SWEEPS. The
     rotations run on A / 2**e, e the binary exponent of the largest entry,
     so no square overflows; both scalings are exact within the normal float
     range, and an eigenvalue beyond the float range comes back infinite.
@@ -263,12 +265,12 @@ def jacobi_eigvals(rows: list[list[float]], max_sweeps: int = 100, tol_factor: f
         return sorted(ldexp(v, e) if frexp(v)[1] + e <= 1024 else v * inf for v in diagonal)
 
     frob = sqrt(fsum(v * v for row in a for v in row))
-    thresh = tol_factor * frob
+    thresh = JACOBI_RTOL * frob
 
     def off_norm():
         return sqrt(fsum(a[p][q] ** 2 for p in range(n) for q in range(n) if p != q))
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if off_norm() <= thresh:
             return spectrum()
         for p in range(n - 1):
@@ -524,19 +526,19 @@ def rank(h: MatrixHandle) -> int:
     return rank_dense(materialize(h))
 
 
-def cond1(h: MatrixHandle, *, bound: int = COND1_DIM_BOUND) -> float:
+def cond1(h: MatrixHandle) -> float:
     """1-norm condition number by explicit inverse, computed in float64.
 
-    Singular matrices yield +inf. The dimension is capped (default 64) since
-    explicit inversion is intended for desk-scale diagnostics.
+    Singular matrices yield +inf. The dimension is capped at COND1_DIM_BOUND
+    since explicit inversion is intended for desk-scale diagnostics.
     """
     _require_square(h, "cond1")
     n = h.rows
     if n == 0:
         return 0.0
-    if n > bound:
+    if n > COND1_DIM_BOUND:
         raise UnsupportedOperationError(
-            f"cond1 is limited to dimension <= {bound}, got {n}"
+            f"cond1 is limited to dimension <= {COND1_DIM_BOUND}, got {n}"
         )
     rows = _float_rows(h)
     norm_a = _norm1_rows(rows)

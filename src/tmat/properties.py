@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .core import DenseMatrix, MatrixHandle, columns, element, frobenius_of_dense, materialize
+from .core import DenseMatrix, MatrixHandle, element, frobenius_of_dense, materialize
 from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
 from .families import construct, feasible_size, get_family
 from .linalg import (
     _bareiss,
-    _lu_factor,
-    _singular_bound,
     as_dense,
     cond1,
     dense_is_diagonal,
@@ -88,6 +86,7 @@ EXISTENTIAL_TAGS = frozenset(
         "orthogonal",
         "positive",
         "posdef",
+        "rankdef",
         "rectangular",
         "symmetric",
         "totnonneg",
@@ -106,6 +105,7 @@ SKIPPED = "skipped"
 
 AUDIT_SIZE_BOUND = 16
 MINOR_BOUND = 6
+AUDIT_TOL = 1e-10
 ILLCOND_THRESHOLD = 1e4
 
 
@@ -151,10 +151,9 @@ class AuditReport:
 
 
 class _AuditContext:
-    def __init__(self, handle, dense, tol):
+    def __init__(self, handle, dense):
         self.handle = handle
         self.dense = dense
-        self.tol = tol
 
     @cached_property
     def float_dense(self):
@@ -300,7 +299,7 @@ def _check_complex(ctx):
 
 
 def _near_identity(ctx, product):
-    return max_abs_identity_residual(product) <= ctx.tol * max(1.0, ctx.frob) ** 2
+    return max_abs_identity_residual(product) <= AUDIT_TOL * max(1.0, ctx.frob) ** 2
 
 
 def _check_posdef(ctx):
@@ -324,7 +323,7 @@ def _check_normal(ctx):
         return False
     a, t = ctx.float_dense, ctx.float_transpose
     diff = max(abs(x - y) for x, y in zip(matmul_dense(t, a).data, matmul_dense(a, t).data))
-    return diff <= ctx.tol * max(1.0, ctx.frob) ** 2
+    return diff <= AUDIT_TOL * max(1.0, ctx.frob) ** 2
 
 
 def _check_nilpotent(ctx):
@@ -334,35 +333,28 @@ def _check_nilpotent(ctx):
     power = ctx.float_dense
     for _ in range(n - 1):
         power = matmul_dense(power, ctx.float_dense)
-    return max(map(abs, power.data), default=0.0) <= ctx.tol * max(1.0, ctx.frob) ** n
+    return max(map(abs, power.data), default=0.0) <= AUDIT_TOL * max(1.0, ctx.frob) ** n
 
 
 def _check_unimodular(ctx):
-    if not _check_integer(ctx):
-        return False
-    if ctx.dense.rows != ctx.dense.cols:
+    if ctx.dense.rows != ctx.dense.cols or not _check_integer(ctx):
         return False
     det = det_dense(ctx.dense)
     if isinstance(det, Rational64):
         return det == 1 or det == -1
-    return abs(abs(det) - 1.0) <= ctx.tol
+    return abs(abs(det) - 1.0) <= AUDIT_TOL
 
 
 def _check_rankdef(ctx):
-    d = ctx.dense
-    if min(d.rows, d.cols) == 0:
-        return False
-    return rank_dense(d) < min(d.rows, d.cols)
+    return rank_dense(ctx.dense) < min(ctx.dense.dims)
 
 
 def _check_correlation(ctx):
     d = ctx.dense
-    if not ctx.symmetric:
-        return False
-    if any(d.get(i, i) != 1 for i in range(1, d.rows + 1)):
+    if not ctx.symmetric or any(d.get(i, i) != 1 for i in range(1, d.rows + 1)):
         return False
     vals = jacobi_eigvals(ctx.float_rows)
-    return all(v >= -ctx.tol * max(1.0, ctx.frob) for v in vals)
+    return all(v >= -AUDIT_TOL * max(1.0, ctx.frob) for v in vals)
 
 
 def _check_indefinite(ctx):
@@ -372,7 +364,7 @@ def _check_indefinite(ctx):
     if not ctx.symmetric:
         raise TmatError("indefiniteness check requires a symmetric matrix")
     vals = jacobi_eigvals(ctx.float_rows)
-    gate = ctx.tol * max(1.0, ctx.frob)
+    gate = AUDIT_TOL * max(1.0, ctx.frob)
     return any(v > gate for v in vals) and any(v < -gate for v in vals)
 
 
@@ -424,6 +416,8 @@ _BOOL_CHECKERS = {
     "rankdef": _check_rankdef,
     "correlation": _check_correlation,
     "indefinite": _check_indefinite,
+    "totpos": _check_totpos,
+    "totnonneg": _check_totnonneg,
 }
 
 
@@ -439,7 +433,7 @@ def _check_inverse_tag(ctx) -> AuditFinding:
         note = "A*inv(A) = I exactly" if ok else "A*inv(A) != I"
     else:
         residual = max_abs_identity_residual(product)
-        ok = residual <= ctx.tol * max(1.0, ctx.frob)
+        ok = residual <= AUDIT_TOL * max(1.0, ctx.frob)
         note = f"max |A*inv(A) - I| = {residual:.3e}"
     return AuditFinding("inverse", PASS if ok else FAIL, note)
 
@@ -459,22 +453,16 @@ def _check_eigen_tag(ctx) -> AuditFinding:
             (abs(c - o) for c, o in zip(sorted(z.real for z in as_complex), oracle)),
             default=0.0,
         )
-        ok = worst <= 1e-10 * max(1.0, ctx.frob)
+        ok = worst <= AUDIT_TOL * max(1.0, ctx.frob)
         return AuditFinding("eigen", PASS if ok else FAIL, f"spectral mismatch {worst:.3e}")
     scale = max(1.0, ctx.frob) ** n
+    data = [complex(v) for v in ctx.float_dense.data]
     worst = 0.0
     for lam in closed:
-        shifted = [
-            [complex(v) - (lam if i == j else 0) for j, v in enumerate(row)]
-            for i, row in enumerate(ctx.float_rows)
-        ]
-        lu, _, sign, rank, _ = _lu_factor(shifted, n, _singular_bound(abs(lam) + ctx.frob + 1.0))
-        if rank < n:
-            continue
-        det = complex(sign)
-        for i in range(n):
-            det *= lu[i][i]
-        worst = max(worst, abs(det))
+        shifted = data.copy()
+        for k in range(0, n * n, n + 1):
+            shifted[k] -= lam
+        worst = max(worst, abs(det_dense(DenseMatrix(n, n, shifted, FLOAT64))))
     ok = worst <= 1e-8 * scale
     return AuditFinding("eigen", PASS if ok else FAIL, f"max |det(A - lambda I)| = {worst:.3e}")
 
@@ -490,7 +478,7 @@ def _check_illcond(ctx) -> AuditFinding:
     )
 
 
-def _audit_tag(tag, ctx, minor_bound) -> AuditFinding:
+def _audit_tag(tag, ctx) -> AuditFinding:
     if tag in DECLARATIVE_TAGS:
         return AuditFinding(tag, NOT_CHECKABLE, "declarative tag")
     if tag == "illcond":
@@ -501,20 +489,10 @@ def _audit_tag(tag, ctx, minor_bound) -> AuditFinding:
         return _check_eigen_tag(ctx)
     if tag == "singval":
         return AuditFinding(tag, NOT_CHECKABLE, "no closed-form singular values registered")
-    if tag in ("totpos", "totnonneg"):
-        if max(ctx.dense.rows, ctx.dense.cols) > minor_bound:
-            return AuditFinding(
-                tag, SKIPPED, f"size over minor-enumeration bound {minor_bound}"
-            )
-    checker = _BOOL_CHECKERS.get(tag)
-    if tag == "totpos":
-        checker = _check_totpos
-    elif tag == "totnonneg":
-        checker = _check_totnonneg
-    if checker is None:
-        return AuditFinding(tag, NOT_CHECKABLE, "no checker implemented")
+    if tag in ("totpos", "totnonneg") and max(ctx.dense.dims) > MINOR_BOUND:
+        return AuditFinding(tag, SKIPPED, f"size over minor-enumeration bound {MINOR_BOUND}")
     try:
-        ok = checker(ctx)
+        ok = _BOOL_CHECKERS[tag](ctx)
     except TmatError as exc:
         return AuditFinding(tag, SKIPPED, str(exc))
     finding = AuditFinding(tag, PASS if ok else FAIL)
@@ -523,18 +501,17 @@ def _audit_tag(tag, ctx, minor_bound) -> AuditFinding:
     return finding
 
 
-def _check_band(h) -> tuple[AuditFinding, ...]:
+def _check_band(ctx) -> tuple[AuditFinding, ...]:
     """A failing finding if a registered column_fn disagrees with element_fn:
-    in-band values must be equal and entries outside the band zero."""
+    ctx.dense came from the column bands, padded with zeros, so each of its
+    entries must equal the element function's."""
+    h = ctx.handle
     if h.record.column_fn is None:
         return ()
-    for j, first, values in columns(h):
-        for i in range(1, h.rows + 1):
-            k = i - first
-            got = values[k] if 0 <= k < len(values) else 0
-            if got != element(h, i, j):
-                note = f"column_fn disagrees with element_fn at ({i}, {j})"
-                return (AuditFinding("column_fn", FAIL, note),)
+    for i, j, v in _all_entries(ctx.dense):
+        if v != element(h, i, j):
+            note = f"column_fn disagrees with element_fn at ({i}, {j})"
+            return (AuditFinding("column_fn", FAIL, note),)
     return ()
 
 
@@ -549,7 +526,7 @@ def _outcome(fn):
 def _check_det_fn(ctx) -> tuple[AuditFinding, ...]:
     """A failing finding if a registered det_fn disagrees with det_dense:
     exactly in rational64, where refusing on both sides is agreement; in
-    float64 within tol * cond1 relative, as LU's error grows with cond1."""
+    float64 within AUDIT_TOL * cond1 relative, as LU's error grows with cond1."""
     h = ctx.handle
     if h.record.det_fn is None or h.rows != h.cols:
         return ()
@@ -561,7 +538,7 @@ def _check_det_fn(ctx) -> tuple[AuditFinding, ...]:
         c = ctx.condition
         if not isinstance(c, float) or not c < inf:
             return ()  # LU's error has no bound
-        if abs(closed - generic) <= ctx.tol * c * max(abs(closed), abs(generic)):
+        if abs(closed - generic) <= AUDIT_TOL * c * max(abs(closed), abs(generic)):
             return ()
     return (AuditFinding("det_fn", FAIL, f"det_fn gives {closed}, det_dense {generic}"),)
 
@@ -587,22 +564,32 @@ def _check_predicates(ctx) -> tuple[AuditFinding, ...]:
     return tuple(findings)
 
 
-def audit(
-    family_id: str,
-    sizes: list[int],
-    params: dict | None = None,
-    *,
-    size_bound: int = AUDIT_SIZE_BOUND,
-    minor_bound: int = MINOR_BOUND,
-    tol: float = 1e-10,
-) -> list[AuditReport]:
+_ROUTINE_TAGS = {"eigvals_fn": "eigen", "inverse_fn": "inverse"}
+
+
+def _check_routines(ctx, tags) -> tuple[AuditFinding, ...]:
+    """A failing finding for a registered eigvals_fn or inverse_fn whose tag
+    is not declared, when the tag's check fails on it."""
+    findings = []
+    for routine, tag in _ROUTINE_TAGS.items():
+        if getattr(ctx.handle.record, routine) is None or tag in tags:
+            continue
+        finding = _outcome(lambda: _audit_tag(tag, ctx))
+        if isinstance(finding, AuditFinding) and finding.verdict == FAIL:
+            findings.append(AuditFinding(routine, FAIL, finding.note))
+    return tuple(findings)
+
+
+def audit(family_id: str, sizes: list[int], params: dict | None = None) -> list[AuditReport]:
     """Machine-check every declared tag of a family at each requested size.
 
     Returns one report per size. Sizes over the audit bound, infeasible for
     the family, or whose entries overflow the scalar kind produce skipped
     verdicts rather than errors. A registered column_fn, det_fn or predicate
-    is cross-checked against its generic route, and only a disagreement adds
-    a finding: a failing `column_fn`, `det_fn` or `predicates` one.
+    is cross-checked against its generic route, and so is an eigvals_fn or
+    inverse_fn whose tag is not declared; only a disagreement adds a
+    finding: a failing `column_fn`, `det_fn`, `predicates`, `eigvals_fn` or
+    `inverse_fn` one.
     """
     rec = get_family(family_id)
     tags = rec.descriptor.tags
@@ -611,19 +598,20 @@ def audit(
         if size < 1:
             raise ParameterError(f"audit sizes must be >= 1, got {size}")
         skip = None
-        if size > size_bound:
-            skip = f"size over audit bound {size_bound}"
+        if size > AUDIT_SIZE_BOUND:
+            skip = f"size over audit bound {AUDIT_SIZE_BOUND}"
         elif (size_params := feasible_size(family_id, size)) is None:
             skip = "size infeasible for this family"
         else:
             handle = construct(family_id, {**size_params, **(params or {})})
             try:
-                ctx = _AuditContext(handle, materialize(handle), tol)
+                ctx = _AuditContext(handle, materialize(handle))
             except RationalOverflowError as exc:
                 skip = str(exc)
         if skip is None:
-            findings = tuple(_audit_tag(tag, ctx, minor_bound) for tag in tags)
-            findings += _check_band(handle) + _check_det_fn(ctx) + _check_predicates(ctx)
+            findings = tuple(_audit_tag(tag, ctx) for tag in tags)
+            findings += _check_band(ctx) + _check_det_fn(ctx) + _check_predicates(ctx)
+            findings += _check_routines(ctx, tags)
         else:
             findings = tuple(AuditFinding(t, SKIPPED, skip) for t in tags)
         reports.append(AuditReport(family_id, size, findings))

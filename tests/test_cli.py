@@ -259,3 +259,16 @@ def test_show_poisson_infeasible_size(capsys):
     code, _, err = run(capsys, "show", "poisson", "3")
     assert code == 1
     assert "infeasible" in err
+
+
+def test_audit_sumij_rankdef_has_no_witness_below_size_3(capsys):
+    # sumij(1) = [2] and sumij(2) have full rank; rankdef holds from n = 3 on
+    sizes = ("--size", "1", "--size", "2", "--size", "3")
+    code, out, _ = run(capsys, "audit", "--family", "sumij", *sizes)
+    assert code == 0
+    rankdef = [line.split("\t")[1:] for line in out.splitlines() if line.split("\t")[2] == "rankdef"]
+    assert rankdef == [
+        ["1", "rankdef", "not-checkable", "no witness at the audited parameters"],
+        ["2", "rankdef", "not-checkable", "no witness at the audited parameters"],
+        ["3", "rankdef", "pass"],
+    ]

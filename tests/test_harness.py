@@ -165,3 +165,14 @@ def test_fn_menu_smoke():
     assert FN_MENU["issymmetric"](h) is True
     assert FN_MENU["sum"](h) == 14
     assert FN_MENU["timing"](h) >= 0
+
+
+def test_median_ns_is_the_middle_time_or_the_mean_of_the_middle_pair(monkeypatch):
+    from tmat import harness
+
+    calls = []
+    for times in ([30, 10, 20], [40, 10, 30, 20]):
+        ticks = iter([t for elapsed in times for t in (0, elapsed)])
+        monkeypatch.setattr(harness, "perf_counter_ns", lambda: next(ticks))
+        calls.append(harness.median_ns(lambda: len(calls), len(times)))
+    assert calls == [(20, 0), (25, 1)]

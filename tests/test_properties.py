@@ -16,6 +16,8 @@ from tmat import (
 )
 from tmat.families import get_family
 from tmat.properties import (
+    _BOOL_CHECKERS,
+    DECLARATIVE_TAGS,
     EXISTENTIAL_TAGS,
     PROPERTY_TAGS,
     enumerate_minors,
@@ -275,3 +277,53 @@ def test_render_audit_format():
     assert first[1] == "3"
     assert first[2] in PROPERTY_TAGS
     assert first[3] in ("pass", "fail", "not-checkable", "skipped")
+
+
+def test_every_tag_has_a_check():
+    # declarative, special-cased in _audit_tag, or a boolean checker
+    special = {"illcond", "inverse", "eigen", "singval"}
+    for tag in PROPERTY_TAGS:
+        assert tag in DECLARATIVE_TAGS or tag in special or tag in _BOOL_CHECKERS, tag
+    register_family(
+        FamilyDescriptor(
+            id="alltags",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=PROPERTY_TAGS,
+        ),
+        lambda p, i, j, k: 1.0 / (i + j - 1),
+    )
+    (report,) = audit("alltags", [3])
+    assert [f.tag for f in report.findings] == list(PROPERTY_TAGS)
+
+
+def _diagonal(value):
+    def inverse_fn(h):
+        rows = [[value if i == j else 0.0 for j in range(h.cols)] for i in range(h.rows)]
+        return tmat.DenseMatrix.from_rows(rows, tmat.FLOAT64)
+
+    return inverse_fn
+
+
+@pytest.mark.parametrize(
+    "routines, extra",
+    [
+        ({"eigvals_fn": lambda h: [5.0] * h.rows}, [("eigvals_fn", "fail")]),
+        ({"inverse_fn": _diagonal(1.0)}, [("inverse_fn", "fail")]),
+        ({"eigvals_fn": lambda h: [2.0] * h.rows, "inverse_fn": _diagonal(0.5)}, []),
+    ],
+)
+def test_undeclared_routine_is_audited(routines, extra):
+    # 2I with no eigen or inverse tag; eigvals and inverse still dispatch to the routines
+    register_family(
+        FamilyDescriptor(
+            id="twiceidentity",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("symmetric",),
+        ),
+        lambda p, i, j, k: 2.0 if i == j else 0.0,
+        **routines,
+    )
+    (report,) = audit("twiceidentity", [3])
+    assert [(f.tag, f.verdict) for f in report.findings] == [("symmetric", "pass")] + extra

@@ -181,11 +181,13 @@ def scaled_norm(groups) -> float:
 
 
 def frobenius_of_dense(d: DenseMatrix) -> float:
-    """||d||_F, the scale of every float pivot tolerance; rescaled on overflow."""
+    """||d||_F, the scale of every float pivot tolerance; rescaled on overflow.
+
+    abs of a float or complex entry is already a float; rationals are
+    converted first."""
+    data = list(map(float, d.data)) if d.scalar_kind == RATIONAL64 else d.data
     try:
-        return sqrt(fsum(
-            (abs(v) if isinstance(v, complex) else abs(float(v))) ** 2 for v in d.data
-        ))
+        return sqrt(fsum(x ** 2 for x in map(abs, data)))
     except OverflowError:
-        mags = [abs(v) if isinstance(v, complex) else abs(float(v)) for v in d.data]
+        mags = list(map(abs, data))
         return scaled_norm(mags[k:k + d.rows] for k in range(0, len(mags), d.rows))

@@ -3,14 +3,21 @@
 Every operation prefers a family's registered closed-form routine and falls
 back to a generic algorithm on the materialized matrix for determinants,
 inverses, solves, and ranks: fraction-free integer elimination (Bareiss) in
-rational64, LU with thresholded partial pivoting in float64. Symmetric spectra
-use a cyclic Jacobi sweep.
+rational64, LU with thresholded partial pivoting in float64. The float LU
+works only inside the band it measures from the rows, so it costs
+O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
+solves skip the zeros of L and U.
+Symmetric spectra come from implicit QL when the matrix is tridiagonal and
+from cyclic Jacobi sweeps otherwise; Jacobi is also the audit's oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
+from cmath import isfinite
+from itertools import compress, count
+from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
+from sys import float_info
 
 from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
 from .errors import (
@@ -26,6 +33,8 @@ FLOAT_RANK_RTOL = 1e-10  # pivot at or below this times ||A||_F is zero
 COND1_DIM_BOUND = 64
 JACOBI_MAX_SWEEPS = 100
 JACOBI_RTOL = 1e-14  # converged once the off-diagonal norm is below this times ||A||_F
+QL_MAX_ITER = 30  # implicit QL iterations allowed per eigenvalue, as in EISPACK's tql1
+_EPS = float_info.epsilon
 
 
 def as_dense(obj) -> DenseMatrix:
@@ -114,8 +123,31 @@ def _singular_bound(scale: float) -> float:
     return nextafter(FLOAT_SINGULAR_RTOL * scale, 0.0)
 
 
+def _bandwidths(rows: list[list]):
+    """(firsts, p, q) of the nonzero pattern of rows.
+
+    Row i is zero left of column firsts[i] (its length if it is all zero),
+    and a_ij == 0 wherever i - j > p or j - i > q. A row with nonzero ends
+    costs O(1); any other row is scanned once, by itertools at C speed.
+    """
+    firsts, p, q = [], 0, 0
+    for i, row in enumerate(rows):
+        nonzero = (0, len(row) - 1) if row and row[0] and row[-1] else list(compress(count(), row))
+        if not nonzero:
+            firsts.append(len(row))
+            continue
+        first, last = nonzero[0], nonzero[-1]
+        firsts.append(first)
+        if i - first > p:
+            p = i - first
+        if last - i > q:
+            q = last - i
+    return firsts, p, q
+
+
 def _lu_factor(rows: list[list], ncols: int, tol: float):
-    """In-place LU with partial pivoting of float (or complex) rows.
+    """In-place LU with partial pivoting of float (or complex) rows, limited
+    to their band.
 
     The pivot of each of the first ncols columns is its largest magnitude at
     or below the current row r, the lowest such row on ties. A column whose
@@ -124,19 +156,28 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
     f = a_ic / pivot being stored in a_ic: once no column was skipped, the
     rows hold L below the diagonal and U on and above it.
 
-    Returns (lu, perm, sign, rank, skipped): lu[i] is input row perm[i], sign
-    the parity of the swaps, and skipped the first column without a pivot,
-    or None.
+    With p and q the lower and upper bandwidths of the rows, column c is zero
+    below row c + p, and partial pivoting fills no row beyond column
+    c + p + q, also after skipped columns (Golub & Van Loan, Matrix
+    Computations, 4th ed., 4.3; LAPACK dgbtrf). The pivot search and the row
+    updates stop there: what they leave out is x - f * 0 of a dense kernel.
+
+    Returns (lu, perm, sign, rank, skipped, band): lu[i] is input row perm[i],
+    sign the parity of the swaps, skipped the first column without a pivot,
+    or None, and band = (firsts, p + q), firsts[i] being the first nonzero
+    column of input row i.
     """
     a = rows
     m = len(a)
+    firsts, p, q = _bandwidths(a)
     perm = list(range(m))
     sign, r, skipped = 1, 0, None
     for c in range(ncols):
         if r == m:
             break
+        below = min(m, c + p + 1)
         best, best_mag = r, abs(a[r][c])
-        for i in range(r + 1, m):
+        for i in range(r + 1, below):
             mag = abs(a[i][c])
             if mag > best_mag:
                 best, best_mag = i, mag
@@ -150,15 +191,16 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
             sign = -sign
         pivot_row = a[r]
         pivot = pivot_row[c]
-        for row in a[r + 1:]:
+        right = min(ncols, c + p + q + 1)
+        for row in a[r + 1:below]:
             if row[c] == 0:
                 continue
             f = row[c] / pivot
             row[c] = f
-            for k in range(c + 1, ncols):
+            for k in range(c + 1, right):
                 row[k] = row[k] - f * pivot_row[k]
         r += 1
-    return a, perm, sign, r, skipped
+    return a, perm, sign, r, skipped, (firsts, p + q)
 
 
 def det_dense(d: DenseMatrix):
@@ -167,40 +209,66 @@ def det_dense(d: DenseMatrix):
     n = d.rows
     if d.scalar_kind == RATIONAL64:
         return from_exact(RATIONAL64, _bareiss(d.to_rows(), n)[3], "determinant")
-    lu, _, sign, rank, _ = _lu_factor(d.to_rows(), n, _singular_bound(frobenius_of_dense(d)))
+    lu, _, sign, rank, _, _ = _lu_factor(d.to_rows(), n, _singular_bound(frobenius_of_dense(d)))
     if rank < n:
         return 0.0
     det = prod((lu[i][i] for i in range(n)), start=1.0)
     return -det if sign < 0 else det
 
 
-def _lu_solve_one(lu, perm, b):
+def _substitute(lu, y, starts, ends, top=0):
+    """Solve L U x = y in place: forward over rows top.. of L, each from column
+    max(starts[i], top), then back over the columns of row i of U before
+    ends[i]."""
     n = len(lu)
-    y = [b[perm[i]] for i in range(n)]
-    for i in range(n):
+    for i in range(top, n):
         row = lu[i]
         acc = y[i]
-        for k in range(i):
+        for k in range(max(starts[i], top), i):
             acc = acc - row[k] * y[k]
         y[i] = acc
     for i in range(n - 1, -1, -1):
         row = lu[i]
         acc = y[i]
-        for k in range(i + 1, n):
+        for k in range(i + 1, ends[i]):
             acc = acc - row[k] * y[k]
         y[i] = acc / row[i]
     return y
 
 
+def _lu_solve_one(lu, perm, band, b, top=0):
+    """x with A x = b from _factor_or_raise's output, b[perm[i]] being zero
+    for i < top.
+
+    The loops skip the zeros of L and U that band = (starts, ends) marks,
+    and the entries of L that meet the zeros of y above row top. The terms
+    left out are 0 * y_k, so while every y_k is finite the result is that of
+    the dense loops. Otherwise the dense loops run, as their 0 * inf terms
+    give NaN.
+    """
+    y = _substitute(lu, [b[k] for k in perm], *band, top)
+    if not all(map(isfinite, y)):
+        n = len(lu)
+        y = _substitute(lu, [b[k] for k in perm], [0] * n, [n] * n)
+    return y
+
+
 def _factor_or_raise(d: DenseMatrix):
     frob = frobenius_of_dense(d)
-    lu, perm, _, _, skipped = _lu_factor(d.to_rows(), d.cols, _singular_bound(frob))
+    lu, perm, _, _, skipped, (firsts, width) = _lu_factor(
+        d.to_rows(), d.cols, _singular_bound(frob)
+    )
     if skipped is not None:
         raise SingularMatrixError(
             f"matrix is singular to working precision (no pivot in column {skipped + 1} "
             f"above {FLOAT_SINGULAR_RTOL:g} * ||A||_F = {FLOAT_SINGULAR_RTOL * frob:.1e})"
         )
-    return lu, perm
+    # row i of L is zero left of the first nonzero of input row perm[i], as a
+    # multiplier is only stored where the row was nonzero; row i of U is zero
+    # right of column i + width
+    n = len(lu)
+    band = ([firsts[k] for k in perm], [min(n, i + width + 1) for i in range(n)])
+    return lu, perm, band
 
 
 def solve_dense(d: DenseMatrix, rhs: list) -> list:
@@ -212,8 +280,8 @@ def solve_dense(d: DenseMatrix, rhs: list) -> list:
         )
     if d.scalar_kind == RATIONAL64:
         return [x for (x,) in _exact_solve(d, [[v] for v in rhs], "solve")]
-    lu, perm = _factor_or_raise(d)
-    return _lu_solve_one(lu, perm, list(rhs))
+    lu, perm, band = _factor_or_raise(d)
+    return _lu_solve_one(lu, perm, band, rhs)
 
 
 def inverse_dense(d: DenseMatrix) -> DenseMatrix:
@@ -222,12 +290,12 @@ def inverse_dense(d: DenseMatrix) -> DenseMatrix:
     if d.scalar_kind == RATIONAL64:
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         return DenseMatrix.from_rows(_exact_solve(d, identity, "inverse"), RATIONAL64)
-    lu, perm = _factor_or_raise(d)
+    lu, perm, band = _factor_or_raise(d)
     data = []
     for j in range(n):
         e = [0.0] * n
         e[j] = 1.0
-        data.extend(_lu_solve_one(lu, perm, e))
+        data.extend(_lu_solve_one(lu, perm, band, e, perm.index(j)))
     return DenseMatrix(n, n, data, d.scalar_kind)
 
 
@@ -240,30 +308,38 @@ def rank_dense(d: DenseMatrix) -> int:
     return _lu_factor(rows, d.cols, FLOAT_RANK_RTOL * frobenius_of_dense(d))[3]
 
 
-# -- cyclic Jacobi for symmetric float matrices --------------------------------
+# -- symmetric spectra: implicit QL (tridiagonal), cyclic Jacobi (dense) ------
+
+
+def _scaled_spectrum(parts: list[list], solve) -> list[float]:
+    """Sorted solve(parts / 2**e), scaled back by 2**e.
+
+    e is the binary exponent of the largest magnitude in parts, so no square
+    in solve overflows. Both scalings are exact within the normal float range,
+    and an eigenvalue beyond it comes back infinite.
+    """
+    e = frexp(max(abs(float(v)) for part in parts for v in part))[1]
+    scaled = [[ldexp(float(v), -e) for v in part] for part in parts]
+    return sorted(ldexp(v, e) if frexp(v)[1] + e <= 1024 else v * inf for v in solve(scaled))
 
 
 def jacobi_eigvals(rows: list[list[float]]) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted.
 
     Converges when the off-diagonal Frobenius norm drops below
-    JACOBI_RTOL * ||A||_F; raises ConvergenceError after JACOBI_MAX_SWEEPS. The
-    rotations run on A / 2**e, e the binary exponent of the largest entry,
-    so no square overflows; both scalings are exact within the normal float
-    range, and an eigenvalue beyond the float range comes back infinite.
+    JACOBI_RTOL * ||A||_F; raises ConvergenceError after JACOBI_MAX_SWEEPS.
+    The rotations run on the scaled matrix of _scaled_spectrum.
     """
     n = len(rows)
     if n == 0:
         return []
     if n == 1:
         return [rows[0][0]]
-    e = frexp(max(abs(float(v)) for row in rows for v in row))[1]
-    a = [[ldexp(float(v), -e) for v in row] for row in rows]
+    return _scaled_spectrum(rows, _jacobi_sweeps)
 
-    def spectrum():
-        diagonal = (a[i][i] for i in range(n))
-        return sorted(ldexp(v, e) if frexp(v)[1] + e <= 1024 else v * inf for v in diagonal)
 
+def _jacobi_sweeps(a: list[list[float]]) -> list[float]:
+    n = len(a)
     frob = sqrt(fsum(v * v for row in a for v in row))
     thresh = JACOBI_RTOL * frob
 
@@ -272,7 +348,7 @@ def jacobi_eigvals(rows: list[list[float]]) -> list[float]:
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if off_norm() <= thresh:
-            return spectrum()
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -293,9 +369,71 @@ def jacobi_eigvals(rows: list[list[float]]) -> list[float]:
                     apk, aqk = a[p][k], a[q][k]
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
-    if off_norm() <= thresh:
-        return spectrum()
-    raise ConvergenceError("Jacobi eigensolver did not converge within the sweep limit")
+    else:
+        if not off_norm() <= thresh:
+            raise ConvergenceError("Jacobi eigensolver did not converge within the sweep limit")
+    return [a[i][i] for i in range(n)]
+
+
+def ql_eigvals(diag: list[float], sub: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal diag and
+    sub-diagonal sub, sorted, by implicit QL with Wilkinson shifts (tql1:
+    Bowdler, Martin, Reinsch & Wilkinson 1968) on the scaled matrix of
+    _scaled_spectrum.
+
+    Raises ConvergenceError on a non-finite entry, or when one eigenvalue
+    takes more than QL_MAX_ITER iterations.
+    """
+    if len(diag) < 2:
+        return list(diag)
+    if not (all(map(isfinite, diag)) and all(map(isfinite, sub))):
+        raise ConvergenceError("implicit QL needs finite entries")
+    return _scaled_spectrum([diag, sub], _implicit_ql)
+
+
+def _implicit_ql(parts: list[list[float]]) -> list[float]:
+    d, e = parts
+    n = len(d)
+    e.append(0.0)  # e[i] couples d[i] and d[i + 1]
+    for l in range(n):
+        for iteration in range(QL_MAX_ITER + 1):
+            # the first negligible e[m] at or after l closes the block l..m
+            m = l
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if iteration == QL_MAX_ITER:
+                raise ConvergenceError(
+                    f"implicit QL did not converge within {QL_MAX_ITER} iterations"
+                )
+            # shift by the eigenvalue of the leading 2x2 block nearer d[l]
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):  # chase the bulge up with plane rotations
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: the block splits at i + 1
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
 
 def _cholesky_ok(rows: list[list[float]]) -> bool:
@@ -399,8 +537,9 @@ def inverse(h: MatrixHandle):
 
 
 def eigvals(h: MatrixHandle):
-    """Sorted spectrum: closed form when registered; otherwise cyclic Jacobi,
-    which requires a symmetric matrix."""
+    """Sorted spectrum: closed form when registered; otherwise the matrix must
+    be symmetric, and its float rows go to implicit QL when they are
+    tridiagonal and to cyclic Jacobi when they are not."""
     _require_square(h, "eigvals")
     rec = h.record
     if rec.eigvals_fn is not None:
@@ -410,7 +549,11 @@ def eigvals(h: MatrixHandle):
             f"eigvals of '{h.family}' has no closed form and the matrix is not "
             "symmetric; the generic eigensolver handles symmetric matrices only"
         )
-    return jacobi_eigvals(_float_rows(h))
+    rows = _float_rows(h)
+    if _bandwidths(rows)[1] <= 1:  # symmetric, so tridiagonal
+        diag = [row[i] for i, row in enumerate(rows)]
+        return ql_eigvals(diag, [rows[i + 1][i] for i in range(len(rows) - 1)])
+    return jacobi_eigvals(rows)
 
 
 def entry_sum(h: MatrixHandle):

@@ -1,13 +1,18 @@
 import ast
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tmat
 from tmat import (
+    ConvergenceError,
+    FamilyDescriptor,
     Rational64,
     RationalOverflowError,
     SingularMatrixError,
@@ -24,12 +29,15 @@ from tmat import (
     is_symmetric,
     materialize,
     rank,
+    register_family,
     solve,
     spectral_moduli,
 )
+from tmat import linalg
 from tmat.core import DenseMatrix
 from tmat.families import get_family
 from tmat.linalg import (
+    _bandwidths,
     _float_rows,
     as_dense,
     dense_is_diagonal,
@@ -41,6 +49,7 @@ from tmat.linalg import (
     jacobi_eigvals,
     matmul_dense,
     max_abs_identity_residual,
+    ql_eigvals,
     rank_dense,
 )
 
@@ -156,7 +165,7 @@ def test_eigvals_examples():
     assert eigvals(construct("poisson", n=2)) == pytest.approx([2, 4, 4, 6], abs=1e-12)
 
 
-def test_eigvals_jacobi_fallback_for_wilkinson():
+def test_eigvals_ql_fallback_for_wilkinson():
     h = construct("wilkinson", n=5)
     vals = eigvals(h)
     assert len(vals) == 5
@@ -164,6 +173,10 @@ def test_eigvals_jacobi_fallback_for_wilkinson():
     trace = sum(rows[i][i] for i in range(5))
     assert sum(vals) == pytest.approx(trace, abs=1e-10)
     assert math.prod(vals) == pytest.approx(det_dense(materialize(h)), abs=1e-8)
+    for n in (5, 21, 60):  # W21+ has pairs equal to about 1e-14
+        h = construct("wilkinson", n=n)
+        oracle = jacobi_eigvals(_float_rows(h))
+        assert max(abs(a - b) for a, b in zip(eigvals(h), oracle)) <= 1e-10 * frobenius_norm(h)
 
 
 def test_eigvals_nonsymmetric_without_closed_form_rejected():
@@ -406,6 +419,113 @@ def test_jacobi_eigvals_of_huge_entries(family, params):
     vals = eigvals(h)
     assert all(math.isfinite(v) for v in vals)
     assert abs(sum(vals) - sum(tmat.element(h, i, i) for i in range(1, 4))) <= 1e-12 * max(map(abs, vals))
+
+
+# -- implicit QL on symmetric tridiagonal matrices ----------------------------------
+
+
+def _tridiagonal_rows(diag, sub):
+    n = len(diag)
+    rows = [[0.0] * n for _ in range(n)]
+    for i, v in enumerate(diag):
+        rows[i][i] = v
+    for i, v in enumerate(sub):
+        rows[i + 1][i] = rows[i][i + 1] = v
+    return rows
+
+
+def _frob(rows):
+    return math.sqrt(math.fsum(v * v for row in rows for v in row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    diag=st.lists(st.floats(-10, 10), max_size=12),
+    data=st.data(),
+    shift=st.sampled_from([0, 900, -900]),
+)
+def test_ql_agrees_with_jacobi_on_random_tridiagonals(diag, data, shift):
+    n = len(diag)
+    # zero off-diagonals split the problem into blocks
+    entry = st.one_of(st.floats(-10, 10), st.just(0.0))
+    sub = data.draw(st.lists(entry, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    vals = ql_eigvals(diag, sub)
+    rows = _tridiagonal_rows(diag, sub)
+    assert vals == sorted(vals)
+    assert max((abs(a - b) for a, b in zip(vals, jacobi_eigvals(rows))), default=0.0) <= (
+        1e-10 * max(1.0, _frob(rows))
+    )
+    # the scaling is exact in the normal range, so a scaled matrix gives the scaled spectrum
+    scaled = ql_eigvals([math.ldexp(v, shift) for v in diag], [math.ldexp(v, shift) for v in sub])
+    if all(v == 0 or abs(math.ldexp(v, shift)) >= sys.float_info.min for v in diag + sub + vals):
+        assert scaled == [math.ldexp(v, shift) for v in vals]
+
+
+def test_ql_small_and_overflowing_spectra():
+    assert ql_eigvals([], []) == []
+    assert ql_eigvals([3.0], []) == [3.0]
+    assert ql_eigvals([1.0, 1.0], [1.0]) == pytest.approx([0.0, 2.0], abs=1e-15)
+    assert ql_eigvals([2.0, 1.0], [0.0]) == [1.0, 2.0]
+    low, high = ql_eigvals([1e308, 1e308], [1e308])
+    assert high == math.inf and abs(low) <= 1e-10 * 1e308
+
+
+def _user_tridiagonal(diag):
+    n = len(diag)
+    register_family(
+        FamilyDescriptor(id="usertri", params=(), default_scalar_kind=tmat.FLOAT64, tags=()),
+        lambda p, i, j, k: diag[i - 1] if i == j else (1.0 if abs(i - j) == 1 else 0.0),
+        dims_fn=lambda p: (n, n),
+    )
+    return construct("usertri")
+
+
+def test_ql_on_a_nan_entry_raises_as_the_jacobi_route_did():
+    h = _user_tridiagonal([1.0, math.nan, 2.0])
+    assert is_symmetric(h)
+    with pytest.raises(ConvergenceError):
+        eigvals(h)
+    with pytest.raises(ConvergenceError):
+        jacobi_eigvals(_float_rows(h))
+
+
+def test_ql_iteration_limit(monkeypatch):
+    monkeypatch.setattr(linalg, "QL_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError, match="0 iterations"):
+        ql_eigvals([1.0, 2.0], [1.0])
+    assert ql_eigvals([1.0, 2.0], [0.0]) == [1.0, 2.0]  # already diagonal: no iteration
+
+
+def test_eigvals_routes_tridiagonal_to_ql_and_dense_to_jacobi(monkeypatch):
+    calls = []
+    for name in ("ql_eigvals", "jacobi_eigvals"):
+        solver = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, _name=name, _solver=solver: calls.append(_name) or _solver(*args)
+        )
+    eigvals(construct("wilkinson", n=7))
+    eigvals(construct("kms", n=7))
+    assert calls == ["ql_eigvals", "jacobi_eigvals"]
+
+
+QL_ROUTED = [f for f in ALL_FAMILIES if get_family(f).eigvals_fn is None]
+
+
+@pytest.mark.parametrize("family", QL_ROUTED)
+@pytest.mark.parametrize("kind", [tmat.FLOAT64, tmat.RATIONAL64])
+def test_ql_spectra_of_builtin_tridiagonals_agree_with_jacobi(family, kind):
+    for n in (0, 1, 2, 3, 4, 7, 21, 60):
+        try:
+            h = construct(family, n=n, scalar_kind=kind)
+        except tmat.TmatError:  # families with other parameters
+            return
+        rows = _float_rows(h)
+        if not is_symmetric(h) or _bandwidths(rows)[1] > 1:
+            continue
+        vals = eigvals(h)
+        assert max((abs(a - b) for a, b in zip(vals, jacobi_eigvals(rows))), default=0.0) <= (
+            1e-10 * max(1.0, _frob(rows))
+        )
 
 
 @pytest.mark.parametrize(

@@ -7,16 +7,19 @@ rational64, LU with thresholded partial pivoting in float64. The float LU
 works only inside the band it measures from the rows, so it costs
 O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
 solves skip the zeros of L and U.
-Symmetric spectra come from implicit QL when the matrix is tridiagonal and
-from cyclic Jacobi sweeps otherwise; Jacobi is also the audit's oracle.
+Symmetric spectra come from implicit QL (tql1), preceded by Householder
+reduction to tridiagonal form (tred1) unless the matrix is tridiagonal
+already. Cyclic Jacobi is no route of eigvals: it is the audit's independent
+oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from cmath import isfinite
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
+from operator import mul
 from sys import float_info
 
 from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
@@ -308,7 +311,7 @@ def rank_dense(d: DenseMatrix) -> int:
     return _lu_factor(rows, d.cols, FLOAT_RANK_RTOL * frobenius_of_dense(d))[3]
 
 
-# -- symmetric spectra: implicit QL (tridiagonal), cyclic Jacobi (dense) ------
+# -- symmetric spectra: Householder (tred1), implicit QL (tql1), Jacobi oracle --
 
 
 def _scaled_spectrum(parts: list[list], solve) -> list[float]:
@@ -316,8 +319,11 @@ def _scaled_spectrum(parts: list[list], solve) -> list[float]:
 
     e is the binary exponent of the largest magnitude in parts, so no square
     in solve overflows. Both scalings are exact within the normal float range,
-    and an eigenvalue beyond it comes back infinite.
+    and an eigenvalue beyond it comes back infinite. A non-finite entry raises
+    ConvergenceError before solve runs.
     """
+    if not all(map(isfinite, chain.from_iterable(parts))):
+        raise ConvergenceError("symmetric eigensolvers need finite entries")
     e = frexp(max(abs(float(v)) for part in parts for v in part))[1]
     scaled = [[ldexp(float(v), -e) for v in part] for part in parts]
     return sorted(ldexp(v, e) if frexp(v)[1] + e <= 1024 else v * inf for v in solve(scaled))
@@ -327,8 +333,9 @@ def jacobi_eigvals(rows: list[list[float]]) -> list[float]:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted.
 
     Converges when the off-diagonal Frobenius norm drops below
-    JACOBI_RTOL * ||A||_F; raises ConvergenceError after JACOBI_MAX_SWEEPS.
-    The rotations run on the scaled matrix of _scaled_spectrum.
+    JACOBI_RTOL * ||A||_F; raises ConvergenceError on a non-finite entry
+    (order >= 2) or after JACOBI_MAX_SWEEPS. The rotations run on the scaled
+    matrix of _scaled_spectrum. No eigvals route uses it: it is the oracle.
     """
     n = len(rows)
     if n == 0:
@@ -375,6 +382,40 @@ def _jacobi_sweeps(a: list[list[float]]) -> list[float]:
     return [a[i][i] for i in range(n)]
 
 
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Diagonal and sub-diagonal of a tridiagonal matrix similar to the
+    symmetric a of order >= 2, by Householder reflections (tred1: Martin,
+    Reinsch & Wilkinson 1968). Reads and updates the lower triangle only."""
+    n = len(a)
+    a = [row[: j + 1] for j, row in enumerate(a)]
+    sub = [0.0] * (n - 1)
+    for i in range(n - 1, 1, -1):
+        row = a[i]
+        scale = sum(map(abs, row[:i]))
+        if scale == 0.0:  # row i is already reduced
+            continue
+        u = [v / scale for v in row[:i]]
+        f = u[-1]
+        h = sum(map(mul, u, u))
+        g = -copysign(sqrt(h), f)
+        sub[i - 1] = scale * g
+        h -= f * g  # u'u / 2 once u[-1] = f - g
+        u[-1] = f - g
+        p = [0.0] * i  # p = A u / h, A read from its lower triangle
+        for j, aj in enumerate(a[:i]):
+            uj = u[j]
+            p[:j] = [pk + uj * x for pk, x in zip(p, aj[:j])]
+            p[j] = sum(map(mul, aj, u))
+        p = [v / h for v in p]
+        k = sum(map(mul, u, p)) / (2.0 * h)
+        q = [pj - k * uj for pj, uj in zip(p, u)]
+        for j in range(i):  # A -= u q' + q u'
+            uj, qj = u[j], q[j]
+            a[j] = [x - uj * qk - qj * uk for x, qk, uk in zip(a[j], q, u)]
+    sub[0] = a[1][0]
+    return [row[j] for j, row in enumerate(a)], sub
+
+
 def ql_eigvals(diag: list[float], sub: list[float]) -> list[float]:
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal diag and
     sub-diagonal sub, sorted, by implicit QL with Wilkinson shifts (tql1:
@@ -386,8 +427,6 @@ def ql_eigvals(diag: list[float], sub: list[float]) -> list[float]:
     """
     if len(diag) < 2:
         return list(diag)
-    if not (all(map(isfinite, diag)) and all(map(isfinite, sub))):
-        raise ConvergenceError("implicit QL needs finite entries")
     return _scaled_spectrum([diag, sub], _implicit_ql)
 
 
@@ -538,8 +577,8 @@ def inverse(h: MatrixHandle):
 
 def eigvals(h: MatrixHandle):
     """Sorted spectrum: closed form when registered; otherwise the matrix must
-    be symmetric, and its float rows go to implicit QL when they are
-    tridiagonal and to cyclic Jacobi when they are not."""
+    be symmetric, and its float rows go to implicit QL, through Householder
+    tridiagonalization when they are not tridiagonal already."""
     _require_square(h, "eigvals")
     rec = h.record
     if rec.eigvals_fn is not None:
@@ -553,7 +592,7 @@ def eigvals(h: MatrixHandle):
     if _bandwidths(rows)[1] <= 1:  # symmetric, so tridiagonal
         diag = [row[i] for i, row in enumerate(rows)]
         return ql_eigvals(diag, [rows[i + 1][i] for i in range(len(rows) - 1)])
-    return jacobi_eigvals(rows)
+    return _scaled_spectrum(rows, lambda a: _implicit_ql(_tridiagonalize(a)))
 
 
 def entry_sum(h: MatrixHandle):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 import sys
@@ -415,10 +416,13 @@ def test_jacobi_scales_out_of_the_overflow_range():
 
 @pytest.mark.parametrize("family, params", [("kms", {"rho": 1e100}), ("moler", {"alpha": 1e110})])
 def test_jacobi_eigvals_of_huge_entries(family, params):
-    h = construct(family, n=3, scalar_kind=tmat.FLOAT64, **params)
-    vals = eigvals(h)
-    assert all(math.isfinite(v) for v in vals)
-    assert abs(sum(vals) - sum(tmat.element(h, i, i) for i in range(1, 4))) <= 1e-12 * max(map(abs, vals))
+    # kms entries are rho ** |i - j|: 1e100 ** 39 is beyond the float range, 1e7 ** 39 = 1e273 is not
+    for n, p in ((3, params), (40, {"rho": 1e7} if family == "kms" else params)):
+        h = construct(family, n=n, scalar_kind=tmat.FLOAT64, **p)
+        vals = eigvals(h)
+        assert all(math.isfinite(v) for v in vals)
+        trace = math.fsum(tmat.element(h, i, i) for i in range(1, n + 1))
+        assert abs(sum(vals) - trace) <= 1e-12 * max(map(abs, vals))
 
 
 # -- implicit QL on symmetric tridiagonal matrices ----------------------------------
@@ -436,6 +440,17 @@ def _tridiagonal_rows(diag, sub):
 
 def _frob(rows):
     return math.sqrt(math.fsum(v * v for row in rows for v in row))
+
+
+def _normal_both_ways(values, shift):
+    """Every value and its 2**shift multiple are zero or normal floats, so
+    scaling by 2**shift is exact in both directions."""
+    return all(v == 0 or min(abs(v), abs(math.ldexp(v, shift))) >= sys.float_info.min for v in values)
+
+
+def _agrees_with_jacobi(vals, oracle, rows):
+    worst = max((abs(a - b) for a, b in zip(vals, oracle)), default=0.0)
+    return len(vals) == len(oracle) and worst <= 1e-10 * max(1.0, _frob(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -457,7 +472,7 @@ def test_ql_agrees_with_jacobi_on_random_tridiagonals(diag, data, shift):
     )
     # the scaling is exact in the normal range, so a scaled matrix gives the scaled spectrum
     scaled = ql_eigvals([math.ldexp(v, shift) for v in diag], [math.ldexp(v, shift) for v in sub])
-    if all(v == 0 or abs(math.ldexp(v, shift)) >= sys.float_info.min for v in diag + sub + vals):
+    if _normal_both_ways(diag + sub + vals, shift):
         assert scaled == [math.ldexp(v, shift) for v in vals]
 
 
@@ -489,6 +504,23 @@ def test_ql_on_a_nan_entry_raises_as_the_jacobi_route_did():
         jacobi_eigvals(_float_rows(h))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_raise_before_any_sweep_or_rotation(monkeypatch, bad):
+    def never(*args):
+        raise AssertionError("an eigensolver ran on a non-finite entry")
+
+    for name in ("_jacobi_sweeps", "_tridiagonalize", "_implicit_ql"):
+        monkeypatch.setattr(linalg, name, never)
+    rows = _float_rows(construct("kms", n=20))
+    rows[3][3] = bad
+    with pytest.raises(ConvergenceError, match="need finite entries"):
+        jacobi_eigvals(rows)
+    with pytest.raises(ConvergenceError, match="need finite entries"):
+        ql_eigvals([1.0, bad, 2.0], [1.0, 1.0])
+    with pytest.raises(ConvergenceError, match="need finite entries"):
+        eigvals(_user_symmetric(rows))  # not tridiagonal: the Householder route
+
+
 def test_ql_iteration_limit(monkeypatch):
     monkeypatch.setattr(linalg, "QL_MAX_ITER", 0)
     with pytest.raises(ConvergenceError, match="0 iterations"):
@@ -496,16 +528,73 @@ def test_ql_iteration_limit(monkeypatch):
     assert ql_eigvals([1.0, 2.0], [0.0]) == [1.0, 2.0]  # already diagonal: no iteration
 
 
-def test_eigvals_routes_tridiagonal_to_ql_and_dense_to_jacobi(monkeypatch):
+def test_eigvals_routes_tridiagonal_to_ql_and_dense_through_householder(monkeypatch):
     calls = []
-    for name in ("ql_eigvals", "jacobi_eigvals"):
+    for name in ("ql_eigvals", "_tridiagonalize", "_implicit_ql", "jacobi_eigvals", "_jacobi_sweeps"):
         solver = getattr(linalg, name)
         monkeypatch.setattr(
             linalg, name, lambda *args, _name=name, _solver=solver: calls.append(_name) or _solver(*args)
         )
     eigvals(construct("wilkinson", n=7))
+    assert calls == ["ql_eigvals", "_implicit_ql"]
+    calls.clear()
     eigvals(construct("kms", n=7))
-    assert calls == ["ql_eigvals", "jacobi_eigvals"]
+    assert calls == ["_tridiagonalize", "_implicit_ql"]
+
+
+_USER_IDS = itertools.count()
+
+
+def _user_symmetric(rows):
+    """The matrix rows as a newly registered float64 family."""
+    fid = f"usersym{next(_USER_IDS)}"
+    register_family(
+        FamilyDescriptor(id=fid, params=(), default_scalar_kind=tmat.FLOAT64, tags=()),
+        lambda p, i, j, k: rows[i - 1][j - 1],
+        dims_fn=lambda p: (len(rows), len(rows)),
+    )
+    return construct(fid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeroed=st.sets(st.integers(0, 11), max_size=4),
+    shift=st.sampled_from([0, 900, -900]),
+)
+def test_householder_ql_agrees_with_jacobi_on_random_symmetric(n, seed, zeroed, shift):
+    # entries come from a seeded generator: drawing up to 78 floats through hypothesis is slow
+    rng = random.Random(seed)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if not {i, j} & zeroed and rng.random() < 0.8:  # zero rows, columns and entries
+                rows[i][j] = rows[j][i] = rng.uniform(-10, 10)
+    vals = eigvals(_user_symmetric(rows))
+    assert vals == sorted(vals)
+    assert _agrees_with_jacobi(vals, jacobi_eigvals(rows), rows)
+    # the scaling is exact in the normal range, so a scaled matrix gives the scaled spectrum
+    scaled = eigvals(_user_symmetric([[math.ldexp(v, shift) for v in row] for row in rows]))
+    if _normal_both_ways([v for row in rows for v in row] + vals, shift):
+        assert scaled == [math.ldexp(v, shift) for v in vals]
+
+
+DENSE_SYMMETRIC = [
+    f for f in ALL_FAMILIES
+    if get_family(f).eigvals_fn is None
+    and is_symmetric(h := construct(f, n=7))
+    and _bandwidths(_float_rows(h))[1] > 1
+]
+
+
+@pytest.mark.parametrize("family", DENSE_SYMMETRIC)
+def test_eigvals_of_builtin_dense_symmetric_agree_with_jacobi(family):
+    for n in (0, 1, 2, 3, 7, 21, 40):
+        rows = _float_rows(construct(family, n=n, scalar_kind=tmat.FLOAT64))
+        oracle = jacobi_eigvals(rows)
+        for kind in (tmat.FLOAT64, tmat.RATIONAL64):  # rational64 solves its float64 twin's rows
+            assert _agrees_with_jacobi(eigvals(construct(family, n=n, scalar_kind=kind)), oracle, rows)
 
 
 QL_ROUTED = [f for f in ALL_FAMILIES if get_family(f).eigvals_fn is None]

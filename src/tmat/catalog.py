@@ -15,7 +15,7 @@ from math import comb, copysign, cos, frexp, inf, isfinite, isqrt, lcm, ldexp, p
 from operator import truediv
 
 from .core import DenseMatrix
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError, RationalOverflowError, SingularMatrixError
 from .families import FamilyDescriptor, ParamSpec, _set_builtin_ids, construct, register_family
 from .scalars import FLOAT64, RATIONAL64, Rational64, exact, from_exact, from_int, one, ratio, zero
 
@@ -378,8 +378,19 @@ def _pascal_column(params, j, kind):
 # a_ij = rho^|i-j|
 
 
+def _power(x, k: int):
+    """x ** k; a float power beyond the float range is the signed inf that
+    from_exact makes of it. A rational64 refusal is raised as it is."""
+    try:
+        return x ** k
+    except RationalOverflowError:
+        raise
+    except OverflowError:
+        return -inf if x < 0 and k % 2 else inf
+
+
 def _kms_element(params, i, j, kind):
-    return params["rho"] ** abs(i - j)
+    return _power(params["rho"], abs(i - j))
 
 
 def _kms_det(h):
@@ -391,7 +402,7 @@ def _kms_det(h):
         rho = exact(h.params["rho"])
         return from_exact(kind, (1 - rho * rho) ** (n - 1), "determinant")
     rho = h.params["rho"]
-    return (1.0 - rho * rho) ** (n - 1)
+    return _power(1.0 - rho * rho, n - 1)
 
 
 _KMS_PREDICATES = {

@@ -10,7 +10,7 @@ column-major materialization target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, sqrt
+from math import hypot
 from typing import Any
 
 from .errors import BoundsError, ParameterError, RationalOverflowError
@@ -170,24 +170,11 @@ def dense_footprint(d: DenseMatrix) -> int:
     return per_entry * d.rows * d.cols
 
 
-def scaled_norm(groups) -> float:
-    """sqrt of the sum of squares of groups of magnitudes, each group scaled by
-    its peak and the groups by the largest peak: for when squares overflow."""
-    parts = [
-        (peak, fsum((x / peak) ** 2 for x in xs)) for xs in groups if (peak := max(xs, default=0.0))
-    ]
-    top = max(peak for peak, _ in parts)
-    return top * sqrt(fsum((peak / top) ** 2 * s for peak, s in parts))
-
-
 def frobenius_of_dense(d: DenseMatrix) -> float:
-    """||d||_F, the scale of every float pivot tolerance; rescaled on overflow.
-
-    abs of a float or complex entry is already a float; rationals are
-    converted first."""
-    data = list(map(float, d.data)) if d.scalar_kind == RATIONAL64 else d.data
-    try:
-        return sqrt(fsum(x ** 2 for x in map(abs, data)))
-    except OverflowError:
-        mags = list(map(abs, data))
-        return scaled_norm(mags[k:k + d.rows] for k in range(0, len(mags), d.rows))
+    """||d||_F, the scale of every float pivot tolerance: hypot of the
+    columns' hypots, as frobenius_norm reduces. No square is formed, so
+    nothing overflows and a norm beyond the float range is inf. Rationals
+    are converted to float; abs of a complex entry is its modulus."""
+    m, data = d.rows, d.data
+    mag = float if d.scalar_kind == RATIONAL64 else abs
+    return hypot(*(hypot(*map(mag, data[j * m:(j + 1) * m])) for j in range(d.cols)))

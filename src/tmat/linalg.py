@@ -19,10 +19,10 @@ from fractions import Fraction
 from cmath import isfinite
 from itertools import chain, compress, count
 from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
-from operator import mul
+from operator import eq, mul
 from sys import float_info
 
-from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize, scaled_norm
+from .core import DenseMatrix, MatrixHandle, columns, frobenius_of_dense, materialize
 from .errors import (
     ConvergenceError,
     RationalOverflowError,
@@ -495,15 +495,17 @@ def _cholesky_ok(rows: list[list[float]]) -> bool:
 
 
 def dense_is_symmetric(d: DenseMatrix) -> bool:
+    """Column j below the diagonal equals row j right of it, for every j.
+
+    The slices are compared by ==, never by list comparison: that tests
+    identity first, so it would find a NaN object equal to itself.
+    """
     if d.rows != d.cols:
         return False
     n, data = d.rows, d.data
-    for j in range(n):
-        base = j * n
-        for i in range(j + 1, n):
-            if data[base + i] != data[i * n + j]:
-                return False
-    return True
+    return all(
+        all(map(eq, data[j * n + j + 1:(j + 1) * n], data[(j + 1) * n + j::n])) for j in range(n)
+    )
 
 
 def dense_is_posdef(d: DenseMatrix) -> bool:
@@ -519,13 +521,12 @@ def dense_is_posdef(d: DenseMatrix) -> bool:
 
 
 def dense_is_diagonal(d: DenseMatrix) -> bool:
+    """Every entry off the diagonal is zero (falsy; a NaN is not)."""
     m, data = d.rows, d.data
-    for j in range(d.cols):
-        base = j * m
-        for i in range(m):
-            if i != j and data[base + i] != 0:
-                return False
-    return True
+    return not any(
+        any(data[j * m:j * m + min(j, m)]) or any(data[j * m + j + 1:(j + 1) * m])
+        for j in range(d.cols)
+    )
 
 
 def dense_sum(d: DenseMatrix):
@@ -602,7 +603,10 @@ def entry_sum(h: MatrixHandle):
     the final sum must fit in 64 bits.
     """
     if h.scalar_kind != RATIONAL64:
-        return fsum(v for _, _, values in columns(h) for v in values)
+        try:
+            return fsum(v for _, _, values in columns(h) for v in values)
+        except ValueError:  # fsum refuses inf + -inf, which a float sum makes NaN
+            return sum(v for _, _, values in columns(h) for v in values)
     by_den: dict = {}
     for _, _, values in columns(h):
         for v in values:
@@ -613,15 +617,11 @@ def entry_sum(h: MatrixHandle):
 
 
 def frobenius_norm(h: MatrixHandle) -> float:
-    """sqrt of the sum of squared entries, streamed over the column bands.
-
-    If a square or the sum overflows, the columns are rescaled (scaled_norm);
-    a norm beyond the float range is inf.
+    """sqrt of the sum of squared entries, streamed over the column bands:
+    hypot of the columns' hypots, as frobenius_of_dense reduces. No square is
+    formed, so nothing overflows and a norm beyond the float range is inf.
     """
-    try:
-        return sqrt(fsum(float(v) ** 2 for _, _, values in columns(h) for v in values))
-    except OverflowError:
-        return scaled_norm([abs(float(v)) for v in values] for _, _, values in columns(h))
+    return hypot(*(hypot(*map(float, values)) for _, _, values in columns(h)))
 
 
 def _predicate(h: MatrixHandle, name: str):

@@ -22,12 +22,7 @@ BANNER = "%%MatrixMarket"
 
 def format_value(x: float) -> str:
     """Shortest decimal that round-trips the float64 value."""
-    if x == 0.0:
-        return "0"
-    text = repr(float(x))
-    if text.endswith(".0"):
-        return text[:-2]
-    return text
+    return "0" if x == 0.0 else repr(float(x)).removesuffix(".0")
 
 
 @contextmanager
@@ -68,7 +63,7 @@ def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
             head = max(first - start, 0) if band else h.rows + 1 - start
             tail = h.rows + 1 - first - len(values) if band else 0
             out.write("0\n" * head)
-            out.write("".join([format_value(float(v)) + "\n" for v in band]))
+            out.write("".join([format_value(v) + "\n" for v in map(float, band)]))
             out.write("0\n" * tail)
 
 
@@ -79,10 +74,10 @@ def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     by_row = [[] for _ in range(h.rows + 1)]
     # out-of-band zeros are kept only when zero_tol < 0
     for j, first, values in columns(h, full=zero_tol < 0):
-        for i, v in enumerate(values, first):
-            v = float(v)
+        mid = f" {j} "
+        for i, v in enumerate(map(float, values), first):
             if abs(v) > zero_tol:
-                by_row[i].append(f"{i} {j} {format_value(v)}\n")
+                by_row[i].append(f"{i}{mid}{format_value(v)}\n")
     with _sink(sink) as out:
         for line in _header_lines(h, "coordinate", "general"):
             out.write(line + "\n")
@@ -114,33 +109,35 @@ def import_array(source) -> DenseMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry '{symmetry}' (line 1)")
 
-    number = 1
-    size_line = None
-    values: list[float] = []
-    for raw in lines[1:]:
-        number += 1
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        if size_line is None:
-            parts = text.split()
-            if len(parts) != 2:
-                raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}")
-            try:
-                size_line = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}") from None
-            if size_line[0] < 0 or size_line[1] < 0:
-                raise MatrixMarketError(f"negative dimensions (line {number})")
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise MatrixMarketError(f"malformed value (line {number}): {raw!r}") from None
-
-    if size_line is None:
+    # (number, text) of each line after the header that is neither blank nor a comment
+    content = (
+        (k, raw) for k, raw in enumerate(lines[1:], 2) if raw.strip()[:1] not in ("", "%")
+    )
+    number, raw = next(content, (len(lines), None))
+    if raw is None:
         raise MatrixMarketError(f"missing size line (after line {number})")
-    m, n = size_line
+    parts = raw.split()
+    if len(parts) != 2:
+        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}")
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}") from None
+    if m < 0 or n < 0:
+        raise MatrixMarketError(f"negative dimensions (line {number})")
+
+    # float(line) is what the loop appends for a value line, and float refuses
+    # a blank line, a comment and a malformed value: only then does the loop run
+    try:
+        values = list(map(float, lines[number:]))
+    except ValueError:
+        values = []
+        for number, raw in content:
+            try:
+                values.append(float(raw))
+            except ValueError:
+                raise MatrixMarketError(f"malformed value (line {number}): {raw!r}") from None
+
     if symmetry == "symmetric":
         if m != n:
             raise MatrixMarketError("symmetric array files must be square")
@@ -149,20 +146,19 @@ def import_array(source) -> DenseMatrix:
         expected = m * n
     if len(values) < expected:
         raise MatrixMarketError(
-            f"unexpected end of data: {len(values)} of {expected} values (after line {number})"
+            f"unexpected end of data: {len(values)} of {expected} values (after line {len(lines)})"
         )
     if len(values) > expected:
         raise MatrixMarketError(f"trailing data: expected {expected} values, got {len(values)}")
 
-    data = [0.0] * (m * n)
     if symmetry == "general":
-        data[:] = values
-    else:
-        k = 0
-        for j in range(1, n + 1):
-            for i in range(j, m + 1):
-                v = values[k]
-                k += 1
-                data[(j - 1) * m + (i - 1)] = v
-                data[(i - 1) * m + (j - 1)] = v
+        return DenseMatrix(m, n, values, FLOAT64)
+    data = [0.0] * (m * n)
+    k = 0
+    for j in range(1, n + 1):
+        for i in range(j, m + 1):
+            v = values[k]
+            k += 1
+            data[(j - 1) * m + (i - 1)] = v
+            data[(i - 1) * m + (j - 1)] = v
     return DenseMatrix(m, n, data, FLOAT64)

@@ -186,7 +186,7 @@ def test_bulk_outputs_match_element_reference(h):
             _write(export_array, h, symmetric=True)
     if h.scalar_kind == FLOAT64:
         assert entry_sum(h) == math.fsum(v for row in rows for v in row)
-        assert frobenius_norm(h) == math.sqrt(math.fsum(v**2 for row in rows for v in row))
+        assert frobenius_norm(h) == math.hypot(*(math.hypot(*map(float, col)) for col in zip(*rows)))
     else:
         total = sum((v.as_fraction() for row in rows for v in row), Fraction(0))
         if abs(total.numerator) < 2**63 and total.denominator < 2**63:

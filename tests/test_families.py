@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from tmat import (
     construct,
     determinant,
     eigvals,
+    entry_sum,
     feasible_size,
+    frobenius_norm,
     inverse,
     list_families,
     materialize,
@@ -272,6 +275,20 @@ def test_kms_rho_one_constructs_but_inverse_fails():
     h = construct("kms", n=3, rho=1.0)
     with pytest.raises(SingularMatrixError):
         inverse(h)
+
+
+@pytest.mark.parametrize("rho", [1e100, -1e100])
+def test_kms_powers_beyond_the_float_range_are_signed_infs(rho):
+    # rho^k leaves the float range from k = 4 on
+    h = construct("kms", n=40, rho=rho, scalar_kind=tmat.FLOAT64)
+    d = materialize(h)
+    assert [d.get(1, j) for j in (3, 4, 5, 6)] == [rho**2, rho**3, math.inf, math.copysign(math.inf, rho)]
+    if rho > 0:
+        assert entry_sum(h) == math.inf
+    else:
+        assert math.isnan(entry_sum(h))  # inf + -inf
+    assert frobenius_norm(h) == math.inf
+    assert determinant(h) == -math.inf  # (1 - rho^2)^39
 
 
 def test_pei_singular_alpha_values():

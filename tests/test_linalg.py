@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from tmat.linalg import (
     max_abs_identity_residual,
     ql_eigvals,
     rank_dense,
+    solve_dense,
 )
 
 from oracles import (
@@ -308,6 +310,75 @@ NAN = float("nan")
 def test_rank_with_nan_entries_agrees_with_det(rows):
     d = DenseMatrix.from_rows(rows, tmat.FLOAT64)
     assert (rank_dense(d) == d.rows) == (det_dense(d) != 0.0)
+
+
+INF = float("inf")
+
+
+# outcomes of det_dense, rank_dense, solve_dense (rhs of ones) and
+# inverse_dense rows; None stands for SingularMatrixError. In every case
+# ||A||_F is NaN or inf, so both pivot bounds reject every finite pivot
+@pytest.mark.parametrize(
+    "rows, det, rank, x, inv",
+    [
+        ([[NAN]], 0.0, 0, None, None),
+        ([[INF]], INF, 0, [0.0], [[0.0]]),
+        ([[-INF]], -INF, 0, [0.0], [[0.0]]),
+        ([[1.0, NAN], [2.0, 3.0]], 0.0, 0, None, None),
+        ([[1.0, INF], [2.0, 3.0]], 0.0, 0, None, None),
+        ([[NAN, INF], [2.0, 3.0]], 0.0, 0, None, None),  # fsum of squares NaN, hypot inf
+        ([[INF, 0.0], [0.0, 1.0]], 0.0, 0, None, None),
+        ([[INF, 1.0], [1.0, NAN]], 0.0, 0, None, None),
+        ([[1e200, -INF, 0.0], [NAN, 1.0, 1e200], [0.0, 2.0, 3.0]], 0.0, 0, None, None),
+        ([[INF, 0.0], [0.0, INF]], INF, 0, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[INF, 0.0], [0.0, -INF]], -INF, 0, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[1e300, INF], [0.0, 1e300]], 0.0, 0, None, None),
+    ],
+)
+def test_lu_outcomes_on_non_finite_entries(rows, det, rank, x, inv):
+    d = DenseMatrix.from_rows(rows, tmat.FLOAT64)
+    assert det_dense(d) == det
+    assert rank_dense(d) == rank
+    for op, want in ((lambda: solve_dense(d, [1.0] * d.rows), x),
+                     (lambda: inverse_dense(d).to_rows(), inv)):
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                op()
+        else:
+            assert op() == want
+
+
+def _exact_norm(values) -> Decimal:
+    square = sum((Fraction(v) ** 2 for v in values), Fraction(0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+
+
+@pytest.mark.parametrize("family", ["hilbert", "kms", "lehmer", "cauchy", "frank"])
+def test_frobenius_norm_within_one_ulp_of_the_exact_norm(family):
+    for n in range(1, 30):
+        h = construct(family, n=n, scalar_kind=tmat.FLOAT64)
+        norm = frobenius_norm(h)
+        exact = _exact_norm(materialize(h).data)
+        assert abs(Decimal(norm) - exact) <= Decimal(math.ulp(norm)), (n, norm, exact)
+
+
+def test_dense_scans_on_nan_entries():
+    # one NaN object at (1, 2) and (2, 1): a list comparison, which tests
+    # identity before ==, would call it equal to itself
+    d = DenseMatrix.from_rows([[1.0, NAN], [NAN, 1.0]], tmat.FLOAT64)
+    assert d.data[1] is d.data[2]
+    assert not dense_is_symmetric(d)
+    assert not dense_is_diagonal(d)
+    # a NaN on the diagonal is compared with nothing
+    d = DenseMatrix.from_rows([[NAN, -0.0], [0.0, NAN]], tmat.FLOAT64)
+    assert dense_is_symmetric(d)
+    assert dense_is_diagonal(d)
+    for rows in ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]):
+        assert dense_is_diagonal(DenseMatrix.from_rows(rows, tmat.FLOAT64))
+        rows[-1][-1] = NAN
+        assert not dense_is_diagonal(DenseMatrix.from_rows(rows, tmat.FLOAT64))
 
 
 def test_cond1():

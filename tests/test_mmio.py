@@ -153,10 +153,13 @@ def test_import_tolerates_comments_and_blanks():
         "% a comment\n"
         "\n"
         "2 2\n"
-        "1\n% mid-stream comment\n2\n3\n4\n"
+        "1\n% mid-stream comment\n2\n\n3\n4\n"
     )
     parsed = import_array(io.StringIO(text))
     assert parsed.to_rows() == [[1.0, 3.0], [2.0, 4.0]]
+    # a malformed value after a comment and a blank line is named by its line
+    with pytest.raises(MatrixMarketError, match=r"malformed value \(line 9\): '3,5'"):
+        import_array(io.StringIO(text.replace("\n3\n", "\n3,5\n")))
 
 
 def test_export_accepts_paths(tmp_path):

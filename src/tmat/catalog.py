@@ -135,11 +135,10 @@ def _inversehilbert_inverse(h):
 
 
 def _cauchy_element(params, i, j, kind):
-    x, y = params["x"], params["y"]
-    s = x[i - 1] + y[j - 1]
-    if kind == RATIONAL64:
-        return Rational64(1) / s
-    return 1.0 / s
+    x, y = params["x"][i - 1], params["y"][j - 1]
+    if kind == RATIONAL64:  # 1/(x + y) in one construction
+        return Rational64(x.den * y.den, x.num * y.den + y.num * x.den)
+    return 1.0 / (x + y)
 
 
 def _cauchy_validate(params, kind):

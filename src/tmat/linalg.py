@@ -58,6 +58,13 @@ def _require_square(h, what: str):
 # -- exact elimination: fraction-free Bareiss ------------------------------------
 
 
+def _integer_scaled(values: list) -> tuple[list[int], int]:
+    """(integers, d) with values == integers / d, d the lcm of the denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
+
+
 def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False, leading: bool = False):
     """Fraction-free elimination of exact rows (Bareiss 1968).
 
@@ -80,10 +87,9 @@ def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False, leading: boo
     a = []
     scale = 1
     for row in rows:
-        ratios = [v.as_integer_ratio() for v in row]
-        s = lcm(*(den for _, den in ratios))
+        ints, s = _integer_scaled(row)
         scale *= s
-        a.append([num * (s // den) for num, den in ratios])
+        a.append(ints)
     m = len(a)
     sign, d, r = 1, 1, 0
     for c in range(ncols):
@@ -164,6 +170,7 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
     c + p + q, also after skipped columns (Golub & Van Loan, Matrix
     Computations, 4th ed., 4.3; LAPACK dgbtrf). The pivot search and the row
     updates stop there: what they leave out is x - f * 0 of a dense kernel.
+    A non-finite f makes f * 0 NaN, so from then on the kernel runs dense.
 
     Returns (lu, perm, sign, rank, skipped, band): lu[i] is input row perm[i],
     sign the parity of the swaps, skipped the first column without a pivot,
@@ -200,6 +207,8 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
                 continue
             f = row[c] / pivot
             row[c] = f
+            if f - f:  # f is inf or NaN, so f * 0 is NaN: no entry is known zero from here on
+                p, q, right = m, ncols, ncols
             for k in range(c + 1, right):
                 row[k] = row[k] - f * pivot_row[k]
         r += 1
@@ -303,12 +312,13 @@ def inverse_dense(d: DenseMatrix) -> DenseMatrix:
 
 
 def rank_dense(d: DenseMatrix) -> int:
-    """Rank: exact by Bareiss in rational64; in float64 by the pivoted LU,
-    pivots at most 1e-10 * ||A||_F treated as zero."""
+    """Rank: exact by Bareiss in rational64; in float64 by the pivoted LU, pivots
+    at most 1e-10 * ||A||_F, capped at the largest float as for det, being zero."""
     rows = d.to_rows()
     if d.scalar_kind == RATIONAL64:
         return _bareiss(rows, d.cols)[1]
-    return _lu_factor(rows, d.cols, FLOAT_RANK_RTOL * frobenius_of_dense(d))[3]
+    tol = min(FLOAT_RANK_RTOL * frobenius_of_dense(d), float_info.max)  # a NaN bound stays
+    return _lu_factor(rows, d.cols, tol)[3]
 
 
 # -- symmetric spectra: Householder (tred1), implicit QL (tql1), Jacobi oracle --
@@ -596,6 +606,10 @@ def eigvals(h: MatrixHandle):
     return _scaled_spectrum(rows, lambda a: _implicit_ql(_tridiagonalize(a)))
 
 
+def _entries(h: MatrixHandle):
+    return chain.from_iterable(values for _, _, values in columns(h))
+
+
 def entry_sum(h: MatrixHandle):
     """Sum of all entries, streamed over the column bands in the handle's kind.
 
@@ -604,14 +618,15 @@ def entry_sum(h: MatrixHandle):
     """
     if h.scalar_kind != RATIONAL64:
         try:
-            return fsum(v for _, _, values in columns(h) for v in values)
-        except ValueError:  # fsum refuses inf + -inf, which a float sum makes NaN
-            return sum(v for _, _, values in columns(h) for v in values)
+            return fsum(_entries(h))
+        except (OverflowError, ValueError):  # inf + -inf, or finite partial sums beyond range
+            if all(map(isfinite, _entries(h))):
+                return from_exact(FLOAT64, sum(map(Fraction, _entries(h))), "entry_sum")
+            return sum(_entries(h))
     by_den: dict = {}
-    for _, _, values in columns(h):
-        for v in values:
-            num, den = v.as_integer_ratio()
-            by_den[den] = by_den.get(den, 0) + num
+    for v in _entries(h):
+        num, den = v.as_integer_ratio()
+        by_den[den] = by_den.get(den, 0) + num
     total = sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
     return from_exact(RATIONAL64, total, "entry_sum")
 
@@ -759,13 +774,21 @@ def spectral_moduli(h: MatrixHandle, rel_tol: float = 1e-9) -> list[tuple[float,
 
 
 def matmul_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """a*b. In rational64 every entry is one dot product of integers (a row of
+    a and a column of b scaled by their lcm denominators), range-checked once."""
     if a.cols != b.rows:
         raise UnsupportedOperationError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
+    kind = a.scalar_kind
+    if kind == RATIONAL64 and b.scalar_kind == RATIONAL64:
+        rows = [_integer_scaled(row) for row in a.to_rows()]
+        cols = [_integer_scaled(b.data[j * b.rows:(j + 1) * b.rows]) for j in range(b.cols)]
+        data = [from_exact(RATIONAL64, Fraction(sum(map(mul, r, c)), dr * dc), "matmul")
+                for c, dc in cols for r, dr in rows]
+        return DenseMatrix(a.rows, b.cols, data, kind)
     ar = a.to_rows()
     br = b.to_rows()
-    kind = a.scalar_kind
     out_rows = []
     for i in range(a.rows):
         row = []

@@ -38,20 +38,19 @@ class Rational64:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        if isinstance(num, Rational64) and den == 1:
-            self.num, self.den = num.num, num.den
-            return
-        if not isinstance(num, int) or not isinstance(den, int):
-            raise TypeError(f"Rational64 components must be int, got {num!r}/{den!r}")
-        if den == 0:
-            raise ZeroDivisionError("rational with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        if num < INT64_MIN or num > INT64_MAX or den > INT64_MAX:
+        if type(num) is not int or type(den) is not int or den <= 0:
+            if isinstance(num, Rational64) and den == 1:
+                self.num, self.den = num.num, num.den
+                return
+            if not isinstance(num, int) or not isinstance(den, int):
+                raise TypeError(f"Rational64 components must be int, got {num!r}/{den!r}")
+            if den == 0:
+                raise ZeroDivisionError("rational with zero denominator")
+            if den < 0:
+                num, den = -num, -den
+        if den != 1 and (g := gcd(num, den)) > 1:
+            num, den = num // g, den // g
+        if not INT64_MIN <= num <= INT64_MAX >= den:
             nbits, dbits = num.bit_length(), den.bit_length()
             # str() of a huge int is slow and capped at 4300 digits
             if max(nbits, dbits) > 256:
@@ -105,7 +104,7 @@ class Rational64:
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, Rational64):
+        if type(other) is Rational64 or isinstance(other, Rational64):
             return other
         if isinstance(other, int) and not isinstance(other, bool):
             return Rational64(other)
@@ -229,12 +228,15 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+_ZERO, _ONE = Rational64(0), Rational64(1)  # shared: nothing mutates a Rational64
+
+
 def zero(kind: str):
-    return Rational64(0) if kind == RATIONAL64 else 0.0
+    return _ZERO if kind == RATIONAL64 else 0.0
 
 
 def one(kind: str):
-    return Rational64(1) if kind == RATIONAL64 else 1.0
+    return _ONE if kind == RATIONAL64 else 1.0
 
 
 def from_int(kind: str, value: int):

@@ -185,6 +185,17 @@ def test_non_finite_solutions_equal_the_dense_kernel():
     _assert_reference_outcomes([[tiny, 0.0], [0.0, tiny]], 2, [1.0, 1.0])
 
 
+def test_non_finite_multipliers_equal_the_dense_kernel():
+    # with ||A||_F = inf an infinite pivot passes the rank and det bounds;
+    # inf / inf and a (nan + inf j) pivot give a NaN multiplier f, and the
+    # dense loops turn each f * 0 right of the band into NaN
+    inf = math.inf
+    _assert_reference_outcomes([[inf, 0.0, 0.0], [inf, 0.0, 0.0], [0.0, 0.0, inf]], 3, [1.0] * 3)
+    rows = [[0.0] * 5 for _ in range(6)]
+    rows[1][0], rows[2][0], rows[5][4] = 1.0, complex(math.nan, inf), inf
+    _assert_reference_outcomes(rows, 5, [0.0] * 6)
+
+
 def test_bandwidths_are_measured_from_the_rows():
     assert _bandwidths([]) == ([], 0, 0)
     assert _bandwidths([[0.0, 0.0], [0.0, 0.0]]) == ([2, 2], 0, 0)

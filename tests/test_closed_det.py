@@ -1,12 +1,12 @@
 """Closed-form determinants on plain integers: hilbert, inversehilbert,
 cauchy, minij, lehmer and lotkin against independent Fraction oracles,
-refusals included.
+refusals included, and the cauchy entries they are built from.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tmat
@@ -87,6 +87,29 @@ def test_cauchy_rational_det_matches_fraction_product(xy):
         return  # x_i + y_j = 0 for some pair: no matrix
     want = _result(lambda: from_exact(RATIONAL64, _cauchy_oracle(x, y), "determinant"))
     assert _result(lambda: determinant(h)) == want
+
+
+wide_fractions = st.builds(Fraction, st.integers(-(2**63), 2**63 - 1), st.integers(1, 2**63 - 1))
+
+
+@EXACT
+@example(Fraction(1, 2**62 + 1), Fraction(1, 2**62 + 3))
+@example(Fraction(-(2**63)), Fraction(0))  # x + y fits, its reciprocal does not
+@example(Fraction(2**63 - 1), Fraction(1))
+@example(Fraction(2**63 - 1, 2), Fraction(-(2**63 - 3), 2))
+@given(st.one_of(small_fractions, wide_fractions), st.one_of(small_fractions, wide_fractions))
+def test_cauchy_rational_entry_is_the_exact_reciprocal(x, y):
+    # one construction from the integer ratios: refused exactly when the
+    # reciprocal does not fit in 64 bits
+    if x + y == 0:
+        return
+    h = construct("cauchy", x=(x,), y=(y,), scalar_kind=RATIONAL64)
+    want = _result(lambda: from_exact(RATIONAL64, 1 / (x + y), "cauchy"))
+    got = _result(lambda: tmat.element(h, 1, 1))
+    if isinstance(want, tuple):
+        assert got[0] is want[0] is tmat.RationalOverflowError
+    else:
+        assert got == want and type(got) is type(want)
 
 
 def test_cauchy_rational_det_with_unequal_generators():

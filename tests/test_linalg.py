@@ -55,6 +55,7 @@ from tmat.linalg import (
     rank_dense,
     solve_dense,
 )
+from tmat.scalars import INT64_MAX, INT64_MIN
 
 from oracles import (
     cofactor_det,
@@ -317,22 +318,23 @@ INF = float("inf")
 
 # outcomes of det_dense, rank_dense, solve_dense (rhs of ones) and
 # inverse_dense rows; None stands for SingularMatrixError. In every case
-# ||A||_F is NaN or inf, so both pivot bounds reject every finite pivot
+# ||A||_F is NaN or inf, so both pivot bounds reject every finite pivot; an
+# infinite one passes both when ||A||_F is inf
 @pytest.mark.parametrize(
     "rows, det, rank, x, inv",
     [
         ([[NAN]], 0.0, 0, None, None),
-        ([[INF]], INF, 0, [0.0], [[0.0]]),
-        ([[-INF]], -INF, 0, [0.0], [[0.0]]),
+        ([[INF]], INF, 1, [0.0], [[0.0]]),
+        ([[-INF]], -INF, 1, [0.0], [[0.0]]),
         ([[1.0, NAN], [2.0, 3.0]], 0.0, 0, None, None),
-        ([[1.0, INF], [2.0, 3.0]], 0.0, 0, None, None),
-        ([[NAN, INF], [2.0, 3.0]], 0.0, 0, None, None),  # fsum of squares NaN, hypot inf
-        ([[INF, 0.0], [0.0, 1.0]], 0.0, 0, None, None),
-        ([[INF, 1.0], [1.0, NAN]], 0.0, 0, None, None),
-        ([[1e200, -INF, 0.0], [NAN, 1.0, 1e200], [0.0, 2.0, 3.0]], 0.0, 0, None, None),
-        ([[INF, 0.0], [0.0, INF]], INF, 0, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
-        ([[INF, 0.0], [0.0, -INF]], -INF, 0, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
-        ([[1e300, INF], [0.0, 1e300]], 0.0, 0, None, None),
+        ([[1.0, INF], [2.0, 3.0]], 0.0, 1, None, None),
+        ([[NAN, INF], [2.0, 3.0]], 0.0, 1, None, None),  # fsum of squares NaN, hypot inf
+        ([[INF, 0.0], [0.0, 1.0]], 0.0, 1, None, None),
+        ([[INF, 1.0], [1.0, NAN]], 0.0, 1, None, None),
+        ([[1e200, -INF, 0.0], [NAN, 1.0, 1e200], [0.0, 2.0, 3.0]], 0.0, 1, None, None),
+        ([[INF, 0.0], [0.0, INF]], INF, 2, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[INF, 0.0], [0.0, -INF]], -INF, 2, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[1e300, INF], [0.0, 1e300]], 0.0, 1, None, None),
     ],
 )
 def test_lu_outcomes_on_non_finite_entries(rows, det, rank, x, inv):
@@ -393,6 +395,105 @@ def test_cond1():
 def test_entry_sum():
     assert entry_sum(construct("minij", n=3)) == 14
     assert entry_sum(construct("kms", n=2)) == pytest.approx(3.0)
+
+
+def _exact_float_sum(values):
+    """The correctly rounded sum of finite floats, +-inf beyond the float range."""
+    total = sum(map(Fraction, values), Fraction(0))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e306, 1.7e308) | st.floats(-1.7e308, -1e306), min_size=1, max_size=6))
+def test_float_entry_sum_beyond_the_float_range_is_the_exact_sum(big):
+    # cauchy with y = (0,) has the entries 1 / x_i
+    h = construct("cauchy", x=tuple(1 / v for v in big), y=(0.0,), scalar_kind=tmat.FLOAT64)
+    values = materialize(h).data
+    assert entry_sum(h) == _exact_float_sum(values)
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        ((0.6e-308, 0.6e-308), math.inf),
+        ((-0.6e-308, -0.6e-308), -math.inf),
+        # 1/x = (1.67e308, 1.67e308, -1.67e308, -1.43e308): cancels back into range
+        ((0.6e-308, 0.6e-308, -0.6e-308, -0.7e-308), 2.380952380952375e307),
+    ],
+)
+def test_float_entry_sum_where_fsum_overflows(x, want):
+    h = construct("cauchy", x=x, y=(0.0,), scalar_kind=tmat.FLOAT64)
+    values = materialize(h).data
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    assert entry_sum(h) == want == _exact_float_sum(values)
+
+
+def test_float_entry_sum_with_infinite_entries_is_the_float_sum():
+    # rho**2 overflows: +-inf entries next to finite ones whose partial sums overflow
+    h = construct("kms", n=40, rho=-1.7e308, scalar_kind=tmat.FLOAT64)
+    assert math.isnan(entry_sum(h))
+    h = construct("kms", n=3, rho=1.7e308, scalar_kind=tmat.FLOAT64)
+    assert entry_sum(h) == math.inf
+
+
+def _frac_product(a_rows, b_rows):
+    return [
+        [sum((Fraction(*x.as_integer_ratio()) * Fraction(*y.as_integer_ratio())
+              for x, y in zip(row, col)), Fraction(0)) for col in zip(*b_rows)]
+        for row in a_rows
+    ]
+
+
+def _rational_dense(rows, ncols):
+    return DenseMatrix(len(rows), ncols, [row[j] for j in range(ncols) for row in rows],
+                       tmat.RATIONAL64)
+
+
+def test_rational_matmul_checks_only_the_product():
+    big = 2**62
+    a = _rational_dense([[Rational64(big), Rational64(big), Rational64(-big)]], 3)
+    ones = _rational_dense([[Rational64(1)]] * 3, 1)
+    assert matmul_dense(a, ones).data == [Rational64(big)]
+    a = _rational_dense([[Rational64(big), Rational64(big)]], 2)
+    with pytest.raises(RationalOverflowError, match=r"^matmul: .* use scalar kind float64"):
+        matmul_dense(a, _rational_dense([[Rational64(1)]] * 2, 1))
+
+
+@st.composite
+def rational_factors(draw):
+    """(a_rows, b_rows, (m, k, n)): an m x k and a k x n rational64 matrix, with
+    small entries or entries whose products and sums may leave 64 bits."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    if draw(st.booleans()):
+        entries = st.builds(Rational64, st.integers(-20, 20), st.integers(1, 20))
+    else:
+        entries = st.builds(Rational64, st.integers(-(2**62), 2**62), st.integers(1, 2**40))
+    a_rows = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    b_rows = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    return a_rows, b_rows, (m, k, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_factors())
+def test_rational_matmul_matches_a_fraction_product(ab):
+    a_rows, b_rows, (m, k, n) = ab
+    a, b = _rational_dense(a_rows, k), _rational_dense(b_rows, n)
+    want = _frac_product(a_rows, b_rows) if k else [[Fraction(0)] * n for _ in range(m)]
+    fits = all(
+        INT64_MIN <= v.numerator <= INT64_MAX >= v.denominator for row in want for v in row
+    )
+    if not fits:
+        with pytest.raises(RationalOverflowError, match="^matmul: "):
+            matmul_dense(a, b)
+        return
+    got = matmul_dense(a, b)
+    assert got.dims == (m, n)
+    assert all(type(v) is Rational64 for v in got.data)
+    assert [[got.get(i + 1, j + 1).as_fraction() for j in range(n)] for i in range(m)] == want
 
 
 # -- dispatch equivalence (closed forms vs generic fallbacks) -------------------

@@ -1,13 +1,14 @@
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmat import ParameterError, Rational64, RationalOverflowError
 
-INT64_MAX = 2**63 - 1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def test_normalization():
@@ -115,3 +116,77 @@ def test_from_number():
         Rational64.from_number(float("nan"))
     with pytest.raises(ParameterError):
         Rational64.from_number(float("inf"))
+
+
+# -- the constructor against a plain sequence of checks -------------------------
+
+
+def _reference_init(num, den=1):
+    """(num, den) of Rational64(num, den) by one check after another, or the
+    exception it raises."""
+    if isinstance(num, Rational64) and den == 1:
+        return num.num, num.den
+    if not isinstance(num, int) or not isinstance(den, int):
+        raise TypeError(f"Rational64 components must be int, got {num!r}/{den!r}")
+    if den == 0:
+        raise ZeroDivisionError("rational with zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    if num < INT64_MIN or num > INT64_MAX or den > INT64_MAX:
+        nbits, dbits = num.bit_length(), den.bit_length()
+        if max(nbits, dbits) > 256:
+            value = f"with a {nbits}-bit numerator and {dbits}-bit denominator"
+        else:
+            value = f"{num}/{den}"
+        raise RationalOverflowError(f"rational value {value} exceeds the signed 64-bit range")
+    return num, den
+
+
+def _typed_outcome(fn, args):
+    """The components with their types, or the exception type and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    num, den = result if isinstance(result, tuple) else (result.num, result.den)
+    return (type(num), num), (type(den), den)
+
+
+class _Int(int):
+    pass
+
+
+EDGES = [0, 1, -1, 2, INT64_MIN, INT64_MAX, INT64_MIN - 1, INT64_MAX + 1, 2**64, -(2**64), 3**200]
+wide_ints = st.one_of(st.integers(-(2**64), 2**64), st.sampled_from(EDGES))
+components = st.one_of(
+    wide_ints,
+    st.booleans(),
+    wide_ints.map(_Int),
+    st.builds(Rational64, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from([1.0, 0.5, "1", None]),
+)
+# a common factor k, so that reduction may bring a pair back into the 64-bit range
+scaled_pairs = st.builds(
+    lambda n, d, k: (n * k, d * k), wide_ints, wide_ints, st.integers(-(2**64), 2**64)
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(st.tuples(components), st.tuples(components, components), scaled_pairs))
+def test_constructor_matches_the_reference(args):
+    assert _typed_outcome(Rational64, args) == _typed_outcome(_reference_init, args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(Rational64(3, 4),), (Rational64(3, 4), 1), (Rational64(3, 4), True), (Rational64(3, 4), 2),
+     (True,), (True, 2), (False, -3), (5, True), (4, -6), (INT64_MIN, -1), (INT64_MIN, 1),
+     (-INT64_MAX, -1), (1, INT64_MIN), (0, INT64_MIN), (2**300, 2**299), (2**300, 3),
+     (_Int(6), _Int(4)), (1, 0), (True, False), (1.0, 2), (1, 2.0)],
+)
+def test_constructor_edge_cases_match_the_reference(args):
+    assert _typed_outcome(Rational64, args) == _typed_outcome(_reference_init, args)

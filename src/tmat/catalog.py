@@ -3,8 +3,11 @@
 Nineteen classic parametrized test families, each with its element formula
 (1-based indices), declared property tags, any closed-form capabilities
 (determinant, inverse, spectrum, O(1) predicates), and a column kernel where
-the family is banded or a whole column has a cheaper closed form.
-Registration order here defines the canonical listing order.
+the family is banded or a whole column has a cheaper closed form: clement,
+jordbloc, grcar and wilkinson declare a band through _banded, which calls the
+element function inside it; eleven others build whole columns with inline
+arithmetic, and the audit checks each against the element function (the same
+NaN on both sides agrees). Registration order is the canonical listing order.
 """
 
 from __future__ import annotations
@@ -139,6 +142,14 @@ def _cauchy_element(params, i, j, kind):
     if kind == RATIONAL64:  # 1/(x + y) in one construction
         return Rational64(x.den * y.den, x.num * y.den + y.num * x.den)
     return 1.0 / (x + y)
+
+
+def _cauchy_column(params, j, kind):
+    xs, y = params["x"], params["y"][j - 1]
+    if kind == RATIONAL64:
+        yn, yd = y.num, y.den
+        return 1, [Rational64(x.den * yd, x.num * yd + yn * x.den) for x in xs]
+    return 1, [1.0 / (x + y) for x in xs]
 
 
 def _cauchy_validate(params, kind):
@@ -392,6 +403,17 @@ def _kms_element(params, i, j, kind):
     return _power(params["rho"], abs(i - j))
 
 
+def _kms_column(params, j, kind):
+    # rows 1..n of column j are rho^(j-1), ..., rho^1, rho^0, ..., rho^(n-j)
+    rho, n = params["rho"], params["n"]
+    ks = range(max(j, n + 1 - j))
+    try:
+        p = [rho**k for k in ks]
+    except OverflowError:  # a float beyond range becomes +-inf; _power re-raises a rational one
+        p = [_power(rho, k) for k in ks]
+    return 1, p[j - 1:0:-1] + p[:n + 1 - j]
+
+
 def _kms_det(h):
     n = h.rows
     kind = h.scalar_kind
@@ -466,6 +488,15 @@ def _forsythe_element(params, i, j, kind):
     return zero(kind)
 
 
+def _forsythe_column(params, j, kind):
+    n, lam = params["n"], params["lambda"]
+    if n == 1:
+        return 1, [lam + params["alpha"]]
+    if j == 1:
+        return 1, [lam] + [zero(kind)] * (n - 2) + [params["alpha"]]
+    return j - 1, [one(kind), lam]
+
+
 def _forsythe_eigvals(h):
     n = h.rows
     lam = complex(float(h.params["lambda"]))
@@ -531,6 +562,11 @@ def _frank_element(params, i, j, kind):
     if j >= i - 1:
         return from_int(kind, n + 1 - max(i, j))
     return zero(kind)
+
+
+def _frank_column(params, j, kind):
+    n = params["n"]
+    return 1, [from_int(kind, n + 1 - j)] * j + ([from_int(kind, n - j)] if j < n else [])
 
 
 # -- lotkin -------------------------------------------------------------------
@@ -605,6 +641,20 @@ def _poisson_element(params, i, j, kind):
     return from_int(kind, v)
 
 
+def _poisson_column(params, j, kind):
+    # 4 on the diagonal, -1 at j +- k inside the grid and at j +- 1 within the grid row
+    k = params["n"]
+    first, last = max(1, j - k), min(k * k, j + k)
+    values = [zero(kind)] * (last + 1 - first)
+    minus, col = from_int(kind, -1), (j - 1) % k
+    neighbours = ((j - k, j > k), (j + k, j + k <= k * k), (j - 1, col > 0), (j + 1, col < k - 1))
+    for i, inside in neighbours:
+        if inside:
+            values[i - first] = minus
+    values[j - first] = from_int(kind, 4)
+    return first, values
+
+
 def _poisson_dims(params):
     return (params["n"] ** 2, params["n"] ** 2)
 
@@ -641,6 +691,14 @@ def _companion_element(params, i, j, kind):
     return zero(kind)
 
 
+def _companion_column(params, j, kind):
+    v = params["v"]
+    n = len(v)
+    if j == 1:
+        return n, [-v[0]]
+    return j - 1, [one(kind)] + [zero(kind)] * (n - j) + [-v[j - 1]]
+
+
 def _companion_validate(params, kind):
     v = params.get("v")
     if v is None:
@@ -674,6 +732,11 @@ def _triw_element(params, i, j, kind):
     if i < j <= i + params["k"]:
         return params["alpha"]
     return zero(kind)
+
+
+def _triw_column(params, j, kind):
+    first = max(1, j - params["k"])
+    return first, [params["alpha"]] * (j - first) + [one(kind)]
 
 
 def _unit_det(h):
@@ -726,6 +789,7 @@ def register_builtins() -> None:
         ("symmetric", "posdef", "inverse", "illcond", "infdiv"),
         _cauchy_element,
         dims_fn=lambda p: (len(p["x"]), len(p["y"])),
+        column_fn=_cauchy_column,
         validate_fn=_cauchy_validate,
         scalar_kind_fn=_cauchy_kind,
         det_fn=_cauchy_det,
@@ -791,6 +855,7 @@ def register_builtins() -> None:
         FLOAT64,
         ("symmetric", "posdef", "inverse", "toeplitz"),
         _kms_element,
+        column_fn=_kms_column,
         inverse_fn=_kms_inverse,
         det_fn=_kms_det,
         predicates=_KMS_PREDICATES,
@@ -810,6 +875,7 @@ def register_builtins() -> None:
         FLOAT64,
         ("eigen", "inverse", "illcond"),
         _forsythe_element,
+        column_fn=_forsythe_column,
         eigvals_fn=_forsythe_eigvals,
         inverse_fn=_forsythe_inverse,
     )
@@ -829,7 +895,7 @@ def register_builtins() -> None:
         RATIONAL64,
         ("hessenberg", "illcond", "integer"),
         _frank_element,
-        column_fn=_banded(_frank_element, lambda p: (p["n"], 1, p["n"] - 1)),
+        column_fn=_frank_column,
         det_fn=_unit_det,
     )
     _register(
@@ -862,7 +928,7 @@ def register_builtins() -> None:
         RATIONAL64,
         ("symmetric", "posdef", "eigen", "sparse", "integer"),
         _poisson_element,
-        column_fn=_banded(_poisson_element, lambda p: (p["n"] ** 2, p["n"], p["n"])),
+        column_fn=_poisson_column,
         dims_fn=_poisson_dims,
         eigvals_fn=_poisson_eigvals,
         size_to_params=_poisson_size_to_params,
@@ -874,6 +940,7 @@ def register_builtins() -> None:
         FLOAT64,
         ("hessenberg", "sparse", "integer"),
         _companion_element,
+        column_fn=_companion_column,
         dims_fn=_companion_dims,
         validate_fn=_companion_validate,
         det_fn=_companion_det,
@@ -888,7 +955,7 @@ def register_builtins() -> None:
         RATIONAL64,
         ("triangular", "illcond", "integer", "unimodular"),
         _triw_element,
-        column_fn=_banded(_triw_element, lambda p: (p["n"], 0, p["k"])),
+        column_fn=_triw_column,
         det_fn=_unit_det,
     )
 

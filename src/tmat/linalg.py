@@ -539,13 +539,29 @@ def dense_is_diagonal(d: DenseMatrix) -> bool:
     )
 
 
+def _sum(kind, entries, what):
+    """Sum of entries() in kind. rational64 sums numerators per denominator,
+    so only the total must fit in 64 bits. float64 is fsum; where it raises
+    (inf + -inf, or finite partial sums beyond range) finite entries are
+    summed exactly and rounded once, others by the plain float sum."""
+    if kind != RATIONAL64:
+        try:
+            return fsum(entries())
+        except (OverflowError, ValueError):
+            if all(map(isfinite, entries())):
+                return from_exact(FLOAT64, sum(map(Fraction, entries())), what)
+            return sum(entries())
+    by_den: dict = {}
+    for v in entries():
+        num, den = v.as_integer_ratio()
+        by_den[den] = by_den.get(den, 0) + num
+    total = sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+    return from_exact(RATIONAL64, total, what)
+
+
 def dense_sum(d: DenseMatrix):
-    if d.scalar_kind == RATIONAL64:
-        acc = Rational64(0)
-        for v in d.data:
-            acc = acc + v
-        return acc
-    return fsum(d.data)
+    """Sum of all entries of a dense matrix, reduced as entry_sum reduces."""
+    return _sum(d.scalar_kind, lambda: d.data, "dense_sum")
 
 
 def _float_twin(h: MatrixHandle) -> MatrixHandle:
@@ -611,24 +627,9 @@ def _entries(h: MatrixHandle):
 
 
 def entry_sum(h: MatrixHandle):
-    """Sum of all entries, streamed over the column bands in the handle's kind.
-
-    In rational64 the numerators are summed exactly per denominator, so only
-    the final sum must fit in 64 bits.
-    """
-    if h.scalar_kind != RATIONAL64:
-        try:
-            return fsum(_entries(h))
-        except (OverflowError, ValueError):  # inf + -inf, or finite partial sums beyond range
-            if all(map(isfinite, _entries(h))):
-                return from_exact(FLOAT64, sum(map(Fraction, _entries(h))), "entry_sum")
-            return sum(_entries(h))
-    by_den: dict = {}
-    for v in _entries(h):
-        num, den = v.as_integer_ratio()
-        by_den[den] = by_den.get(den, 0) + num
-    total = sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
-    return from_exact(RATIONAL64, total, "entry_sum")
+    """Sum of all entries, streamed over the column bands in the handle's kind
+    (see _sum: exact per denominator in rational64, fsum in float64)."""
+    return _sum(h.scalar_kind, lambda: _entries(h), "entry_sum")
 
 
 def frobenius_norm(h: MatrixHandle) -> float:

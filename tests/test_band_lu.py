@@ -143,7 +143,7 @@ def banded_systems(draw):
 
 
 BAND = settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 

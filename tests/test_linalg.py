@@ -836,3 +836,59 @@ def test_lu_pivoting_deterministic_and_exact():
         want = cofactor_det([[to_fraction(v) for v in row] for row in rows])
         assert got.as_fraction() == want
         assert det_dense(dense).as_fraction() == want  # repeatable
+
+
+# -- one sum for the lazy and the dense side ------------------------------------------
+
+
+def _dense_row(values, kind):
+    return DenseMatrix(1, len(values), list(values), kind)
+
+
+def test_rational_dense_sum_checks_only_the_total():
+    big = Rational64(2**62)
+    d = _dense_row([big, big, -big], tmat.RATIONAL64)
+    assert linalg.dense_sum(d) == big
+    h = construct("companion", v=(-(2**62), -(2**62), 2**62), scalar_kind=tmat.RATIONAL64)
+    assert materialize(h).data[2::3] == d.data  # the last row is -v
+    assert entry_sum(h) == big + 2  # plus the two ones of the superdiagonal
+
+
+def test_rational_dense_sum_beyond_64_bits_names_the_operation():
+    big = Rational64(2**62)
+    with pytest.raises(tmat.RationalOverflowError, match="dense_sum: .*float64"):
+        linalg.dense_sum(_dense_row([big, big], tmat.RATIONAL64))
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ((1.7e308, 1.7e308, -1.7e308), 1.7e308),
+        ((1.7e308, 1.7e308), math.inf),
+        ((0.1, 0.2, 0.3), 0.6),
+    ],
+)
+def test_float_dense_sum_of_finite_entries_is_the_exact_sum(values, want):
+    assert linalg.dense_sum(_dense_row(values, tmat.FLOAT64)) == want == _exact_float_sum(values)
+
+
+def test_float_dense_sum_with_infinite_entries_is_the_float_sum():
+    assert math.isnan(linalg.dense_sum(_dense_row([math.inf, -math.inf], tmat.FLOAT64)))
+    assert linalg.dense_sum(_dense_row([math.inf, 1.7e308, 1.7e308], tmat.FLOAT64)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "family, params, kind",
+    [
+        ("kms", {"n": 40, "rho": -1.7e308}, tmat.FLOAT64),
+        ("cauchy", {"x": (0.6e-308, 0.6e-308, -0.6e-308, -0.7e-308), "y": (0.0,)}, tmat.FLOAT64),
+        ("lehmer", {"n": 30}, tmat.RATIONAL64),
+        ("companion", {"v": (-(2**62), -(2**62), 2**62)}, tmat.RATIONAL64),
+        ("poisson", {"n": 4}, tmat.FLOAT64),
+    ],
+)
+def test_dense_sum_equals_entry_sum(family, params, kind):
+    h = construct(family, params, scalar_kind=kind)
+    lazy, dense = entry_sum(h), linalg.dense_sum(materialize(h))
+    assert type(lazy) is type(dense)
+    assert lazy == dense or (lazy != lazy and dense != dense)

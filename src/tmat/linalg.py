@@ -132,13 +132,17 @@ def _singular_bound(scale: float) -> float:
     return nextafter(FLOAT_SINGULAR_RTOL * scale, 0.0)
 
 
-def _bandwidths(rows: list[list]):
+def _bandwidths(rows: list[list], firsts: bool = True):
     """(firsts, p, q) of the nonzero pattern of rows.
 
     Row i is zero left of column firsts[i] (its length if it is all zero),
     and a_ij == 0 wherever i - j > p or j - i > q. A row with nonzero ends
     costs O(1); any other row is scanned once, by itertools at C speed.
+    Without firsts, m >= n rows with a nonzero bottom-left entry are not
+    scanned: p = m - 1 makes any band full, q is given as n - 1, firsts None.
     """
+    if not firsts and rows and rows[-1] and rows[-1][0] and len(rows) >= len(rows[-1]):
+        return None, len(rows) - 1, len(rows[-1]) - 1
     firsts, p, q = [], 0, 0
     for i, row in enumerate(rows):
         nonzero = (0, len(row) - 1) if row and row[0] and row[-1] else list(compress(count(), row))
@@ -154,7 +158,7 @@ def _bandwidths(rows: list[list]):
     return firsts, p, q
 
 
-def _lu_factor(rows: list[list], ncols: int, tol: float):
+def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop: bool = False, firsts: bool = False):
     """In-place LU with partial pivoting of float (or complex) rows, limited
     to their band.
 
@@ -175,11 +179,12 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
     Returns (lu, perm, sign, rank, skipped, band): lu[i] is input row perm[i],
     sign the parity of the swaps, skipped the first column without a pivot,
     or None, and band = (firsts, p + q), firsts[i] being the first nonzero
-    column of input row i.
+    column of input row i (possibly None unless asked for). With stop, the
+    elimination ends at the first skipped column, for callers needing full rank.
     """
     a = rows
     m = len(a)
-    firsts, p, q = _bandwidths(a)
+    firsts, p, q = _bandwidths(a, firsts)
     perm = list(range(m))
     sign, r, skipped = 1, 0, None
     for c in range(ncols):
@@ -194,6 +199,8 @@ def _lu_factor(rows: list[list], ncols: int, tol: float):
         if not best_mag > tol:
             if skipped is None:
                 skipped = c
+            if stop:
+                break
             continue
         if best != r:
             a[r], a[best] = a[best], a[r]
@@ -221,7 +228,8 @@ def det_dense(d: DenseMatrix):
     n = d.rows
     if d.scalar_kind == RATIONAL64:
         return from_exact(RATIONAL64, _bareiss(d.to_rows(), n)[3], "determinant")
-    lu, _, sign, rank, _, _ = _lu_factor(d.to_rows(), n, _singular_bound(frobenius_of_dense(d)))
+    tol = _singular_bound(frobenius_of_dense(d))
+    lu, _, sign, rank, _, _ = _lu_factor(d.to_rows(), n, tol, stop=True)
     if rank < n:
         return 0.0
     det = prod((lu[i][i] for i in range(n)), start=1.0)
@@ -268,7 +276,7 @@ def _lu_solve_one(lu, perm, band, b, top=0):
 def _factor_or_raise(d: DenseMatrix):
     frob = frobenius_of_dense(d)
     lu, perm, _, _, skipped, (firsts, width) = _lu_factor(
-        d.to_rows(), d.cols, _singular_bound(frob)
+        d.to_rows(), d.cols, _singular_bound(frob), stop=True, firsts=True
     )
     if skipped is not None:
         raise SingularMatrixError(
@@ -616,7 +624,7 @@ def eigvals(h: MatrixHandle):
             "symmetric; the generic eigensolver handles symmetric matrices only"
         )
     rows = _float_rows(h)
-    if _bandwidths(rows)[1] <= 1:  # symmetric, so tridiagonal
+    if _bandwidths(rows, firsts=False)[1] <= 1:  # symmetric, so tridiagonal
         diag = [row[i] for i, row in enumerate(rows)]
         return ql_eigvals(diag, [rows[i + 1][i] for i in range(len(rows) - 1)])
     return _scaled_spectrum(rows, lambda a: _implicit_ql(_tridiagonalize(a)))

@@ -5,16 +5,20 @@ rendering (the shortest representation that round-trips float64). Rational
 entries are converted to decimal, with a provenance comment recording the
 original scalar kind since the format has no rational field. The reader
 supports `array real general` and `array real symmetric` files, for round-trip
-testing.
+testing. A square matrix whose family declares the O(1) `symmetric`
+predicate true has only its lower triangle formatted (`_mirrored`), and a
+path target is replaced only once the whole matrix is written (`_sink`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
+from itertools import compress, count
 
 from .core import DenseMatrix, MatrixHandle, columns
 from .errors import MatrixMarketError
-from .linalg import is_symmetric
+from .linalg import _predicate, is_symmetric
 from .scalars import FLOAT64, RATIONAL64
 
 BANNER = "%%MatrixMarket"
@@ -25,77 +29,115 @@ def format_value(x: float) -> str:
     return "0" if x == 0.0 else repr(float(x)).removesuffix(".0")
 
 
+def _texts(values) -> list:
+    """format_value of each value: v + 0.0 turns -0.0 into 0.0, whose repr
+    loses its ".0" like every integral value's."""
+    return [repr(v + 0.0).removesuffix(".0") for v in map(float, values)]
+
+
+def _mirrored(h: MatrixHandle, zero_tol: float = 0.0) -> bool:
+    """h is square and declared symmetric (O(1) predicate): the writers format
+    its diagonal and lower triangle, and each entry above reuses its mirror's text."""
+    return zero_tol >= 0 and h.rows == h.cols and bool(_predicate(h, "symmetric"))
+
+
+def _column_texts(h: MatrixHandle, mirrored: bool):
+    """Yield (j, first, texts) for each column band of h (see core.columns),
+    texts[k] being the text of row first + k. When mirrored, an entry above
+    the diagonal takes its mirror's text, "0" outside the mirror's band."""
+    lower = [None]  # lower[k]: the texts of column k from row k down
+    for j, first, values in columns(h):
+        texts = _texts(values[max(j - first, 0):] if mirrored else values)
+        if mirrored:
+            lower.append(["0"] * (first - j) + texts)
+            above = lower[first:j]
+            try:
+                texts = list(map(list.__getitem__, above, range(j - first, 0, -1))) + texts
+            except IndexError:
+                texts = [t[j - k] if j - k < len(t) else "0" for k, t in enumerate(above, first)] + texts
+        yield j, first, texts
+
+
 @contextmanager
 def _sink(target):
+    """The target if it has write(); for a path, a new file beside it that
+    replaces the path once all is written and is removed on any error."""
     if hasattr(target, "write"):
         yield target
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+        return
+    part = f"{os.fsdecode(target)}.{os.urandom(4).hex()}.part"
+    try:
+        with open(part, "x", encoding="utf-8", newline="") as handle:
             yield handle
+        os.replace(part, os.fsdecode(target))
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(part)
 
 
-def _header_lines(h: MatrixHandle, layout: str, symmetry: str) -> list[str]:
-    lines = [f"{BANNER} matrix {layout} real {symmetry}"]
-    if h.scalar_kind == RATIONAL64:
-        lines.append("% scalar-kind: rational64")
-    return lines
+def _header(h: MatrixHandle, layout: str, symmetry: str, size: str) -> str:
+    kind = "% scalar-kind: rational64\n" if h.scalar_kind == RATIONAL64 else ""
+    return f"{BANNER} matrix {layout} real {symmetry}\n{kind}{size}\n"
 
 
 def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
     """Write the dense array format: size line `m n`, then the entries in
     column-major order, one per line. With symmetric=True only the lower
     triangle (j <= i) is stored and the header carries the qualifier."""
-    symmetry = "general"
-    if symmetric:
-        if h.rows != h.cols or not is_symmetric(h):
-            raise MatrixMarketError(
-                "the symmetric qualifier requires a square symmetric matrix"
-            )
-        symmetry = "symmetric"
+    if symmetric and (h.rows != h.cols or not is_symmetric(h)):
+        raise MatrixMarketError("the symmetric qualifier requires a square symmetric matrix")
     with _sink(sink) as out:
-        for line in _header_lines(h, "array", symmetry):
-            out.write(line + "\n")
-        out.write(f"{h.rows} {h.cols}\n")
-        for j, first, values in columns(h):
+        out.write(_header(h, "array", "symmetric" if symmetric else "general", f"{h.rows} {h.cols}"))
+        bands = _column_texts(h, _mirrored(h)) if not symmetric else (  # the lower triangle
+            (j, max(first, j), _texts(values[max(j - first, 0):])) for j, first, values in columns(h)
+        )
+        for j, first, texts in bands:
             start = j if symmetric else 1
-            band = values[max(start - first, 0):]
-            # zeros above and below the band print as "0"
-            head = max(first - start, 0) if band else h.rows + 1 - start
-            tail = h.rows + 1 - first - len(values) if band else 0
-            out.write("0\n" * head)
-            out.write("".join([format_value(v) + "\n" for v in map(float, band)]))
-            out.write("0\n" * tail)
+            # zeros above and below the band print as "0"; the "" ends the band's last line
+            head = first - start if texts else h.rows + 1 - start
+            tail = h.rows + 1 - first - len(texts) if texts else 0
+            out.write("0\n" * head + "\n".join(texts + [""]) + "0\n" * tail)
 
 
 def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     """Write the sparse coordinate format: size line `m n nnz`, then 1-based
     `i j value` triplets in row-major traversal order; entries with
     |value| <= zero_tol are dropped."""
-    by_row = [[] for _ in range(h.rows + 1)]
-    # out-of-band zeros are kept only when zero_tol < 0
-    for j, first, values in columns(h, full=zero_tol < 0):
-        mid = f" {j} "
-        for i, v in enumerate(map(float, values), first):
-            if abs(v) > zero_tol:
-                by_row[i].append(f"{i}{mid}{format_value(v)}\n")
+    if _mirrored(h, zero_tol):  # row j is column j, written as its column passes
+        labels = [f"{k} " for k in range(h.cols + 1)]
+        rows, left = [], [[] for _ in range(h.rows + 1)]  # left[i]: lines of row i made so far
+        for j, first, values in columns(h):
+            lines, start, lj, low = left[j], max(first, j), labels[j], values[max(j - first, 0):]
+            left[j] = None
+            for k in compress(count(), low):  # zeros are never kept
+                v = float(low[k])
+                if abs(v) > zero_tol:
+                    i, t = start + k, repr(v + 0.0).removesuffix(".0")
+                    lines.append(f"{lj}{labels[i]}{t}\n")
+                    if i > j:  # the mirror (i, j) reuses the text
+                        left[i].append(f"{labels[i]}{lj}{t}\n")
+            rows.append("".join(lines))
+        nnz = sum(row.count("\n") for row in rows)
+    else:
+        by_row = [[] for _ in range(h.rows + 1)]
+        # out-of-band zeros are kept only when zero_tol < 0
+        for j, first, values in columns(h, full=zero_tol < 0):
+            mid = f" {j} "
+            for i, v in enumerate(map(float, values), first):
+                if abs(v) > zero_tol:
+                    by_row[i].append(f"{i}{mid}{repr(v + 0.0).removesuffix('.0')}\n")
+        rows, nnz = map("".join, by_row), sum(map(len, by_row))
     with _sink(sink) as out:
-        for line in _header_lines(h, "coordinate", "general"):
-            out.write(line + "\n")
-        out.write(f"{h.rows} {h.cols} {sum(map(len, by_row))}\n")
-        for lines in by_row:
-            out.write("".join(lines))
-
-
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
+        out.write(_header(h, "coordinate", "general", f"{h.rows} {h.cols} {nnz}"))
+        out.writelines(rows)
 
 
 def import_array(source) -> DenseMatrix:
     """Parse an `array real general|symmetric` file into a float64 DenseMatrix."""
-    lines = _read_text(source).splitlines()
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as handle:
+            return import_array(handle)
+    lines = source.read().splitlines()
     if not lines:
         raise MatrixMarketError("empty file (line 1)")
     tokens = lines[0].split()
@@ -116,11 +158,8 @@ def import_array(source) -> DenseMatrix:
     number, raw = next(content, (len(lines), None))
     if raw is None:
         raise MatrixMarketError(f"missing size line (after line {number})")
-    parts = raw.split()
-    if len(parts) != 2:
-        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}")
     try:
-        m, n = int(parts[0]), int(parts[1])
+        m, n = map(int, raw.split())
     except ValueError:
         raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}") from None
     if m < 0 or n < 0:
@@ -138,12 +177,9 @@ def import_array(source) -> DenseMatrix:
             except ValueError:
                 raise MatrixMarketError(f"malformed value (line {number}): {raw!r}") from None
 
-    if symmetry == "symmetric":
-        if m != n:
-            raise MatrixMarketError("symmetric array files must be square")
-        expected = n * (n + 1) // 2
-    else:
-        expected = m * n
+    if symmetry == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric array files must be square")
+    expected = n * (n + 1) // 2 if symmetry == "symmetric" else m * n
     if len(values) < expected:
         raise MatrixMarketError(
             f"unexpected end of data: {len(values)} of {expected} values (after line {len(lines)})"
@@ -153,12 +189,8 @@ def import_array(source) -> DenseMatrix:
 
     if symmetry == "general":
         return DenseMatrix(m, n, values, FLOAT64)
-    data = [0.0] * (m * n)
-    k = 0
-    for j in range(1, n + 1):
-        for i in range(j, m + 1):
-            v = values[k]
-            k += 1
-            data[(j - 1) * m + (i - 1)] = v
-            data[(i - 1) * m + (j - 1)] = v
-    return DenseMatrix(m, n, data, FLOAT64)
+    data, k = [0.0] * (n * n), 0
+    for j in range(n):  # column j from the diagonal down, and its mirror, row j
+        data[j * n + j:(j + 1) * n] = data[j * n + j::n] = values[k:k + n - j]
+        k += n - j
+    return DenseMatrix(n, n, data, FLOAT64)

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from tmat import FLOAT64, construct, materialize
 from tmat import linalg
 from tmat.core import DenseMatrix
-from tmat.linalg import _bandwidths, det_dense, inverse_dense, rank_dense, solve_dense
+from tmat.linalg import _bandwidths, _lu_factor, det_dense, inverse_dense, rank_dense, solve_dense
 
 # -- the dense reference kernel ----------------------------------------------------
 
 
-def _dense_lu_factor(rows, ncols, tol):
+def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False):
+    # stop and firsts only spare work, so the reference ignores them: it
+    # eliminates every column and returns the band of a dense matrix
     a = rows
     m = len(a)
     perm = list(range(m))
@@ -203,3 +205,20 @@ def test_bandwidths_are_measured_from_the_rows():
     # NaN is nonzero, -0.0 and 0j are zero; an upper triangle has p = 0
     assert _bandwidths([[0.0, math.nan], [-0.0, 0j]]) == ([1, 2], 0, 1)
     assert _bandwidths([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]) == ([3, 0, 2], 1, 0)
+
+
+def test_bandwidths_without_firsts_take_a_full_band_from_the_bottom_left_corner():
+    # p = m - 1 makes every band as wide as the matrix, so no row is scanned
+    rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]
+    assert _bandwidths(rows) == ([1, 2, 0], 2, 1)
+    assert _bandwidths(rows, firsts=False) == (None, 2, 2)
+    # otherwise, and when the rows are fewer than their columns, they are scanned
+    assert _bandwidths(rows[:2], firsts=False)[1:] == (0, 1)
+    assert _bandwidths([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], firsts=False)[1:] == (1, 0)
+    assert _bandwidths([], firsts=False)[1:] == (0, 0)
+
+
+def test_lu_stops_at_the_first_skipped_column_only_when_asked():
+    rows = [[0.0, 1.0], [0.0, 2.0]]
+    assert _lu_factor([r[:] for r in rows], 2, 0.0)[3:5] == (1, 0)
+    assert _lu_factor([r[:] for r in rows], 2, 0.0, stop=True)[3:5] == (0, 0)

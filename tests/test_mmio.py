@@ -6,15 +6,20 @@ import pytest
 
 import tmat
 from tmat import (
+    FLOAT64,
+    RATIONAL64,
     MatrixMarketError,
+    TmatError,
     construct,
     export_array,
     export_coordinate,
     import_array,
     materialize,
 )
+from tmat.mmio import format_value
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "hilbert2_array.mtx")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURE = os.path.join(FIXTURES, "hilbert2_array.mtx")
 
 ALL_FAMILIES = tuple(tmat.list_families())
 
@@ -168,3 +173,142 @@ def test_export_accepts_paths(tmp_path):
     assert target.read_text().splitlines()[1] == "2 2 1"
     parsed = import_array(FIXTURE)
     assert parsed.get(1, 1) == 1.0
+
+
+def test_lehmer5_coordinate_matches_checked_in_fixture():
+    # lehmer is declared symmetric: its rows are written from its columns
+    with open(os.path.join(FIXTURES, "lehmer5_coordinate.mtx"), "rb") as f:
+        assert _coordinate_bytes(construct("lehmer", n=5)) == f.read()
+
+
+# -- both writers against a per-entry oracle -----------------------------------------
+
+
+def _coordinate_bytes(h, **kwargs):
+    buf = io.StringIO()
+    export_coordinate(h, buf, **kwargs)
+    return buf.getvalue().encode()
+
+
+def _oracle(h, layout, symmetric=False, zero_tol=0.0):
+    """The writers' text with one format_value per entry: array lines in
+    column-major order, coordinate lines in row-major order."""
+    rows = materialize(h).to_rows()
+    kind = "% scalar-kind: rational64\n" if h.scalar_kind == RATIONAL64 else ""
+    if layout == "array":
+        text = f"%%MatrixMarket matrix array real {'symmetric' if symmetric else 'general'}\n"
+        text += f"{kind}{h.rows} {h.cols}\n"
+        for j in range(h.cols):
+            for i in range(j if symmetric else 0, h.rows):
+                text += format_value(float(rows[i][j])) + "\n"
+        return text.encode()
+    lines = [
+        f"{i} {j} {format_value(float(v))}\n"
+        for i, row in enumerate(rows, 1)
+        for j, v in enumerate(row, 1)
+        if abs(float(v)) > zero_tol
+    ]
+    text = f"%%MatrixMarket matrix coordinate real general\n{kind}{h.rows} {h.cols} {len(lines)}\n"
+    return (text + "".join(lines)).encode()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except TmatError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_writers_match_the_oracle(h):
+    writes = [("array", {}), ("coordinate", {"zero_tol": 0.0}), ("coordinate", {"zero_tol": 0.2})]
+    writes.append(("coordinate", {"zero_tol": -1.0}))
+    if h.rows == h.cols and _outcome(lambda: tmat.is_symmetric(h)) is True:
+        writes.append(("array", {"symmetric": True}))
+    for layout, kwargs in writes:
+        writer = _export_bytes if layout == "array" else _coordinate_bytes
+        got = _outcome(lambda: writer(h, **kwargs))
+        assert got == _outcome(lambda: _oracle(h, layout, **kwargs)), (h, layout, kwargs)
+
+
+def _differential_handles():
+    for family in ALL_FAMILIES:
+        for kind in (FLOAT64, RATIONAL64):
+            for n in (0, 1, 2, 3, 7) if family == "poisson" else (0, 1, 2, 3, 7, 40):
+                try:
+                    yield construct(family, n=n, scalar_kind=kind)
+                except tmat.ParameterError:
+                    pass
+    for rho in (0.0, -0.0, math.nan, math.inf, -math.inf, 1e200):
+        yield construct("kms", n=7, rho=rho, scalar_kind=FLOAT64)
+    for family in ("pei", "moler"):
+        yield construct(family, n=7, alpha=math.nan, scalar_kind=FLOAT64)
+    yield construct("cauchy", x=(1, 2, 3, 5), y=(1, 2, 3, 5))  # declared symmetric as x = y
+
+
+def test_writers_match_a_per_entry_oracle():
+    handles = list(_differential_handles())
+    assert sum(bool(tmat.mmio._mirrored(h)) for h in handles) > 80
+    for h in handles:
+        _assert_writers_match_the_oracle(h)
+
+
+def _register(name, element_fn, column_fn=None):
+    tmat.register_family(
+        tmat.FamilyDescriptor(
+            id=name, params=(tmat.ParamSpec("n", "dim"),), default_scalar_kind=FLOAT64, tags=()
+        ),
+        element_fn,
+        column_fn=column_fn,
+        predicates={"symmetric": lambda h: True},
+    )
+
+
+def test_user_families_declared_symmetric_match_the_oracle():
+    # no column_fn: element_fn fills every column, with -0.0 and zeros below tolerance
+    _register("symuser", lambda p, i, j, k: -0.0 if (i + j) % 3 == 0 else (i * j) / 7 - 0.5)
+
+    # tridiagonal, but the even columns declare a full band: their entries above
+    # the band of the odd columns are mirrors outside a band, hence zero
+    def tridiagonal(p, i, j, k):
+        return 2.0 if i == j else (-1.0 if abs(i - j) == 1 else 0.0)
+
+    def column(p, j, k):
+        n = p["n"]
+        first, last = (1, n) if j % 2 == 0 else (max(1, j - 1), min(n, j + 1))
+        return first, [tridiagonal(p, i, j, k) for i in range(first, last + 1)]
+
+    _register("wideband", tridiagonal, column)
+    for name in ("symuser", "wideband"):
+        for n in (0, 1, 2, 3, 7, 12):
+            h = construct(name, n=n)
+            assert tmat.mmio._mirrored(h)
+            _assert_writers_match_the_oracle(h)
+
+
+# -- a refused export leaves a path target as it was -------------------------------------
+
+
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+@pytest.mark.parametrize("existing", [None, b"old content\n"])
+def test_a_refused_export_leaves_the_target_as_it_was(tmp_path, layout, existing):
+    target = tmp_path / "p.mtx"
+    if existing is not None:
+        target.write_bytes(existing)
+    writer = export_array if layout == "array" else export_coordinate
+    # pascal rational64 overflows at entry (40, 30), after 29 columns are written
+    with pytest.raises(tmat.RationalOverflowError, match=r"pascal entry \(40, 30\)"):
+        writer(construct("pascal", n=40, scalar_kind=RATIONAL64), target)
+    assert os.listdir(tmp_path) == ([] if existing is None else ["p.mtx"])
+    if existing is not None:
+        assert target.read_bytes() == existing
+
+
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+def test_a_written_export_replaces_the_target(tmp_path, layout):
+    target = tmp_path / "p.mtx"
+    target.write_bytes(b"old content\n")
+    writer = export_array if layout == "array" else export_coordinate
+    h = construct("pascal", n=4, scalar_kind=RATIONAL64)
+    writer(h, str(target))
+    assert os.listdir(tmp_path) == ["p.mtx"]
+    assert target.read_bytes() == _oracle(h, layout)

@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         parser.error("sizes must be non-negative")
     try:
         return args.handler(args)
-    except TmatError as exc:
+    except (TmatError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

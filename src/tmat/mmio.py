@@ -6,13 +6,15 @@ entries are converted to decimal, with a provenance comment recording the
 original scalar kind since the format has no rational field. The reader
 supports `array real general` and `array real symmetric` files, for round-trip
 testing. A square matrix whose family declares the O(1) `symmetric`
-predicate true has only its lower triangle formatted (`_mirrored`), and a
-path target is replaced only once the whole matrix is written (`_sink`).
+predicate true has only its diagonal and lower triangle formatted
+(`_mirrored`). A path naming a regular file, or nothing yet, is replaced only
+once the whole matrix is written (`_sink`).
 """
 
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager, suppress
 from itertools import compress, count
 
@@ -22,17 +24,15 @@ from .linalg import _predicate, is_symmetric
 from .scalars import FLOAT64, RATIONAL64
 
 BANNER = "%%MatrixMarket"
+# export_array holds at most this many texts for mirrored entries (about 20 MB of
+# float texts); without mirroring it holds one column's
+MIRROR_TEXTS = 1 << 18
 
 
 def format_value(x: float) -> str:
-    """Shortest decimal that round-trips the float64 value."""
-    return "0" if x == 0.0 else repr(float(x)).removesuffix(".0")
-
-
-def _texts(values) -> list:
-    """format_value of each value: v + 0.0 turns -0.0 into 0.0, whose repr
-    loses its ".0" like every integral value's."""
-    return [repr(v + 0.0).removesuffix(".0") for v in map(float, values)]
+    """Shortest decimal that round-trips the float64 value: x + 0.0 turns
+    -0.0 into 0.0, whose repr loses its ".0" like every integral value's."""
+    return repr(float(x) + 0.0).removesuffix(".0")
 
 
 def _mirrored(h: MatrixHandle, zero_tol: float = 0.0) -> bool:
@@ -41,103 +41,142 @@ def _mirrored(h: MatrixHandle, zero_tol: float = 0.0) -> bool:
     return zero_tol >= 0 and h.rows == h.cols and bool(_predicate(h, "symmetric"))
 
 
-def _column_texts(h: MatrixHandle, mirrored: bool):
-    """Yield (j, first, texts) for each column band of h (see core.columns),
-    texts[k] being the text of row first + k. When mirrored, an entry above
-    the diagonal takes its mirror's text, "0" outside the mirror's band."""
-    lower = [None]  # lower[k]: the texts of column k from row k down
+def _column_texts(h: MatrixHandle, symmetric: bool):
+    """Yield (j, start, texts) for each column band of h (see core.columns),
+    texts[k] being the text of row start + k. With symmetric=True the band is
+    cut to the lower triangle. Otherwise, when h is _mirrored, an entry above
+    the diagonal takes the text its mirror got when its column passed, until
+    more than MIRROR_TEXTS texts would be held for that."""
+    mirrored = not symmetric and _mirrored(h)
+    left = [[] for _ in range(h.rows + 1)]  # left[i]: texts of row i, columns k0 .. i - 1
+    bottom = held = 0  # the lowest row handed to left so far; the texts left holds
     for j, first, values in columns(h):
-        texts = _texts(values[max(j - first, 0):] if mirrored else values)
+        if not (symmetric or mirrored):
+            yield j, first, list(map(format_value, values))
+            continue
+        start = max(first, j)
+        texts = list(map(format_value, values[start - first:]))
         if mirrored:
-            lower.append(["0"] * (first - j) + texts)
-            above = lower[first:j]
-            try:
-                texts = list(map(list.__getitem__, above, range(j - first, 0, -1))) + texts
-            except IndexError:
-                texts = [t[j - k] if j - k < len(t) else "0" for k, t in enumerate(above, first)] + texts
-        yield j, first, texts
+            # rows j + 1 .. bottom of column j, "0" outside its band, go to the
+            # left parts: however the bands vary, row i's then spans columns k0 .. i - 1
+            below = (["0"] * (start - j) + texts)[1:] if texts else []
+            bottom = max(bottom, j + len(below))
+            below += ["0"] * (bottom - j - len(below))
+            # rows first .. j - 1 are row j's last j - first mirrors, "0" where
+            # a mirror's column ends above row j; each text is then released
+            above, left[j] = left[j], None
+            need = max(j - first, 0)
+            if need:
+                texts = (["0"] * need + above)[len(above):] + texts
+                start = first
+            held += len(below) - len(above)
+            if held > MIRROR_TEXTS:  # later columns format their own upper part
+                mirrored = left = None
+            else:
+                list(map(list.append, left[j + 1:bottom + 1], below))
+        yield j, start, texts
 
 
 @contextmanager
 def _sink(target):
-    """The target if it has write(); for a path, a new file beside it that
-    replaces the path once all is written and is removed on any error."""
+    """The target if it has write(). A path naming a regular file or nothing
+    yet (through any symlinks) gets a new file beside it that replaces it once
+    all is written and is removed on any error; any other path (a device, a
+    FIFO, /dev/stdout) is opened and written in place."""
     if hasattr(target, "write"):
         yield target
         return
-    part = f"{os.fsdecode(target)}.{os.urandom(4).hex()}.part"
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    path = os.fsdecode(os.path.realpath(target))
+    part = f"{path}.{os.urandom(4).hex()}.part"
     try:
         with open(part, "x", encoding="utf-8", newline="") as handle:
             yield handle
-        os.replace(part, os.fsdecode(target))
+        with suppress(FileNotFoundError):  # a replaced file keeps its permissions
+            os.chmod(part, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(part, path)
     finally:
         with suppress(FileNotFoundError):
             os.remove(part)
 
 
-def _header(h: MatrixHandle, layout: str, symmetry: str, size: str) -> str:
-    kind = "% scalar-kind: rational64\n" if h.scalar_kind == RATIONAL64 else ""
-    return f"{BANNER} matrix {layout} real {symmetry}\n{kind}{size}\n"
+def _header_lines(h: MatrixHandle, layout: str, symmetry: str) -> list[str]:
+    lines = [f"{BANNER} matrix {layout} real {symmetry}"]
+    if h.scalar_kind == RATIONAL64:
+        lines.append("% scalar-kind: rational64")
+    return lines
 
 
 def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
     """Write the dense array format: size line `m n`, then the entries in
     column-major order, one per line. With symmetric=True only the lower
     triangle (j <= i) is stored and the header carries the qualifier."""
-    if symmetric and (h.rows != h.cols or not is_symmetric(h)):
-        raise MatrixMarketError("the symmetric qualifier requires a square symmetric matrix")
+    symmetry = "general"
+    if symmetric:
+        if h.rows != h.cols or not is_symmetric(h):
+            raise MatrixMarketError(
+                "the symmetric qualifier requires a square symmetric matrix"
+            )
+        symmetry = "symmetric"
     with _sink(sink) as out:
-        out.write(_header(h, "array", "symmetric" if symmetric else "general", f"{h.rows} {h.cols}"))
-        bands = _column_texts(h, _mirrored(h)) if not symmetric else (  # the lower triangle
-            (j, max(first, j), _texts(values[max(j - first, 0):])) for j, first, values in columns(h)
-        )
-        for j, first, texts in bands:
+        for line in _header_lines(h, "array", symmetry):
+            out.write(line + "\n")
+        out.write(f"{h.rows} {h.cols}\n")
+        for j, first, texts in _column_texts(h, symmetric):
             start = j if symmetric else 1
-            # zeros above and below the band print as "0"; the "" ends the band's last line
-            head = first - start if texts else h.rows + 1 - start
+            # zeros above and below the band print as "0"
+            head = max(first - start, 0) if texts else h.rows + 1 - start
             tail = h.rows + 1 - first - len(texts) if texts else 0
-            out.write("0\n" * head + "\n".join(texts + [""]) + "0\n" * tail)
+            out.write("0\n" * head)
+            out.write("\n".join(texts + [""]))  # the "" ends the band's last line
+            out.write("0\n" * tail)
 
 
 def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     """Write the sparse coordinate format: size line `m n nnz`, then 1-based
     `i j value` triplets in row-major traversal order; entries with
     |value| <= zero_tol are dropped."""
-    if _mirrored(h, zero_tol):  # row j is column j, written as its column passes
+    by_row = [[] for _ in range(h.rows + 1)]
+    if _mirrored(h, zero_tol):  # row j is column j: its lines are made as column j passes
         labels = [f"{k} " for k in range(h.cols + 1)]
-        rows, left = [], [[] for _ in range(h.rows + 1)]  # left[i]: lines of row i made so far
         for j, first, values in columns(h):
-            lines, start, lj, low = left[j], max(first, j), labels[j], values[max(j - first, 0):]
-            left[j] = None
+            start, lj = max(first, j), labels[j]
+            low = values[start - first:]
             for k in compress(count(), low):  # zeros are never kept
                 v = float(low[k])
                 if abs(v) > zero_tol:
-                    i, t = start + k, repr(v + 0.0).removesuffix(".0")
-                    lines.append(f"{lj}{labels[i]}{t}\n")
+                    i, t = start + k, format_value(v)
+                    by_row[j].append(f"{lj}{labels[i]}{t}\n")
                     if i > j:  # the mirror (i, j) reuses the text
-                        left[i].append(f"{labels[i]}{lj}{t}\n")
-            rows.append("".join(lines))
-        nnz = sum(row.count("\n") for row in rows)
+                        by_row[i].append(f"{labels[i]}{lj}{t}\n")
     else:
-        by_row = [[] for _ in range(h.rows + 1)]
         # out-of-band zeros are kept only when zero_tol < 0
         for j, first, values in columns(h, full=zero_tol < 0):
             mid = f" {j} "
             for i, v in enumerate(map(float, values), first):
                 if abs(v) > zero_tol:
-                    by_row[i].append(f"{i}{mid}{repr(v + 0.0).removesuffix('.0')}\n")
-        rows, nnz = map("".join, by_row), sum(map(len, by_row))
+                    by_row[i].append(f"{i}{mid}{format_value(v)}\n")
     with _sink(sink) as out:
-        out.write(_header(h, "coordinate", "general", f"{h.rows} {h.cols} {nnz}"))
-        out.writelines(rows)
+        for line in _header_lines(h, "coordinate", "general"):
+            out.write(line + "\n")
+        out.write(f"{h.rows} {h.cols} {sum(map(len, by_row))}\n")
+        for lines in by_row:
+            out.write("".join(lines))
+
+
+def _read_text(source) -> str:
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def import_array(source) -> DenseMatrix:
     """Parse an `array real general|symmetric` file into a float64 DenseMatrix."""
-    if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as handle:
-            return import_array(handle)
-    lines = source.read().splitlines()
+    lines = _read_text(source).splitlines()
     if not lines:
         raise MatrixMarketError("empty file (line 1)")
     tokens = lines[0].split()
@@ -158,8 +197,11 @@ def import_array(source) -> DenseMatrix:
     number, raw = next(content, (len(lines), None))
     if raw is None:
         raise MatrixMarketError(f"missing size line (after line {number})")
+    parts = raw.split()
+    if len(parts) != 2:
+        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}")
     try:
-        m, n = map(int, raw.split())
+        m, n = int(parts[0]), int(parts[1])
     except ValueError:
         raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}") from None
     if m < 0 or n < 0:
@@ -177,9 +219,12 @@ def import_array(source) -> DenseMatrix:
             except ValueError:
                 raise MatrixMarketError(f"malformed value (line {number}): {raw!r}") from None
 
-    if symmetry == "symmetric" and m != n:
-        raise MatrixMarketError("symmetric array files must be square")
-    expected = n * (n + 1) // 2 if symmetry == "symmetric" else m * n
+    if symmetry == "symmetric":
+        if m != n:
+            raise MatrixMarketError("symmetric array files must be square")
+        expected = n * (n + 1) // 2
+    else:
+        expected = m * n
     if len(values) < expected:
         raise MatrixMarketError(
             f"unexpected end of data: {len(values)} of {expected} values (after line {len(lines)})"
@@ -189,8 +234,12 @@ def import_array(source) -> DenseMatrix:
 
     if symmetry == "general":
         return DenseMatrix(m, n, values, FLOAT64)
-    data, k = [0.0] * (n * n), 0
-    for j in range(n):  # column j from the diagonal down, and its mirror, row j
-        data[j * n + j:(j + 1) * n] = data[j * n + j::n] = values[k:k + n - j]
-        k += n - j
-    return DenseMatrix(n, n, data, FLOAT64)
+    data = [0.0] * (m * n)
+    k = 0
+    for j in range(1, n + 1):
+        for i in range(j, m + 1):
+            v = values[k]
+            k += 1
+            data[(j - 1) * m + (i - 1)] = v
+            data[(i - 1) * m + (j - 1)] = v
+    return DenseMatrix(m, n, data, FLOAT64)

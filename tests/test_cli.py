@@ -103,6 +103,14 @@ def test_export_missing_output_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_export_to_a_missing_directory_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "nodir" / "h.mtx"
+    code, _, err = run(capsys, "export", "hilbert", "2", "--format", "mm-array", "-o", str(target))
+    assert code == 1
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_audit_builtin_exits_zero(capsys):
     code, out, _ = run(capsys, "audit", "--group", "builtin", "--size", "4", "--size", "5")
     assert code == 0

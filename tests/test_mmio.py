@@ -252,6 +252,13 @@ def test_writers_match_a_per_entry_oracle():
         _assert_writers_match_the_oracle(h)
 
 
+def test_writers_match_the_oracle_past_the_mirror_cap(monkeypatch):
+    # past the cap, the array writer formats each later column's upper part itself
+    monkeypatch.setattr(tmat.mmio, "MIRROR_TEXTS", 12)
+    for family, n in (("lehmer", 9), ("poisson", 4), ("kms", 40), ("hilbert", 1)):
+        _assert_writers_match_the_oracle(construct(family, n=n))
+
+
 def _register(name, element_fn, column_fn=None):
     tmat.register_family(
         tmat.FamilyDescriptor(
@@ -278,7 +285,33 @@ def test_user_families_declared_symmetric_match_the_oracle():
         return first, [tridiagonal(p, i, j, k) for i in range(first, last + 1)]
 
     _register("wideband", tridiagonal, column)
-    for name in ("symuser", "wideband"):
+
+    # an arrow (first row and column) on a tridiagonal, with distinct entries: the
+    # odd columns after the first end below the diagonal, the others are full, so
+    # row i's mirrors come from columns that reach it and columns that do not
+    def arrow(p, i, j, k):
+        return (i + j) / 8 if abs(i - j) <= 1 or min(i, j) == 1 else 0.0
+
+    def arrow_column(p, j, k):
+        n = p["n"]
+        last = min(n, j + 1) if j % 2 and j > 1 else n
+        return 1, [arrow(p, i, j, k) for i in range(1, last + 1)]
+
+    _register("arrow", arrow, arrow_column)
+
+    # nonzero two off the diagonal only: the bands of columns 1 and 2 start below
+    # their diagonals, and are empty when n is too small to reach them
+    def skip2(p, i, j, k):
+        return (i + j) / 8 if abs(i - j) == 2 else 0.0
+
+    def skip2_column(p, j, k):
+        first = j - 2 if j > 2 else j + 2
+        if first > p["n"]:
+            return 1, []
+        return first, [skip2(p, i, j, k) for i in range(first, min(p["n"], j + 2) + 1)]
+
+    _register("skip2", skip2, skip2_column)
+    for name in ("symuser", "wideband", "arrow", "skip2"):
         for n in (0, 1, 2, 3, 7, 12):
             h = construct(name, n=n)
             assert tmat.mmio._mirrored(h)
@@ -307,8 +340,53 @@ def test_a_refused_export_leaves_the_target_as_it_was(tmp_path, layout, existing
 def test_a_written_export_replaces_the_target(tmp_path, layout):
     target = tmp_path / "p.mtx"
     target.write_bytes(b"old content\n")
+    target.chmod(0o640)
     writer = export_array if layout == "array" else export_coordinate
     h = construct("pascal", n=4, scalar_kind=RATIONAL64)
     writer(h, str(target))
     assert os.listdir(tmp_path) == ["p.mtx"]
     assert target.read_bytes() == _oracle(h, layout)
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+@pytest.mark.parametrize("existing", [None, b"old content\n"])
+def test_a_symlinked_target_is_written_through(tmp_path, layout, existing):
+    real, link = tmp_path / "real.mtx", tmp_path / "link.mtx"
+    if existing is not None:
+        real.write_bytes(existing)
+    link.symlink_to(real)
+    writer = export_array if layout == "array" else export_coordinate
+    h = construct("lehmer", n=4)
+    writer(h, link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == _oracle(h, layout)
+    assert sorted(os.listdir(tmp_path)) == ["link.mtx", "real.mtx"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("layout", ["array", "coordinate"])
+def test_a_fifo_target_is_written_in_place(tmp_path, layout):
+    fifo = tmp_path / "out.mtx"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open without waiting
+    try:
+        writer = export_array if layout == "array" else export_coordinate
+        h = construct("hilbert", n=3)  # far below the pipe's buffer
+        writer(h, fifo)
+        assert os.read(reader, 1 << 16) == _oracle(h, layout)
+    finally:
+        os.close(reader)
+    assert os.listdir(tmp_path) == ["out.mtx"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_descriptor_path_target_is_written_in_place():
+    # what `tm export ... -o /dev/stdout` opens when stdout is a pipe
+    reader, writer_fd = os.pipe()
+    try:
+        export_array(construct("hilbert", n=2), f"/dev/fd/{writer_fd}")
+    finally:
+        os.close(writer_fd)
+    with os.fdopen(reader, "rb") as source, open(FIXTURE, "rb") as f:
+        assert source.read() == f.read()

@@ -108,8 +108,10 @@ def columns(h: MatrixHandle, *, full: bool = False):
 
     values are rows first_row .. first_row + len(values) - 1 of column j and
     every entry outside them is exactly zero(kind). A family's column_fn
-    supplies that band; without one, element_fn fills the whole column. With
-    full=True each band is padded to the whole column with one shared zero.
+    supplies that band, which must lie in rows 1 .. rows (ParameterError
+    otherwise; an empty band is a zero column); without one, element_fn fills
+    the whole column. With full=True each band is padded to the whole column
+    with one shared zero.
     """
     column_fn, fn = h.record.column_fn, h.record.element_fn
     params, kind, rows = h.params, h.scalar_kind, h.rows
@@ -124,6 +126,13 @@ def columns(h: MatrixHandle, *, full: bool = False):
             for i in range(1, rows + 1):
                 element(h, i, j)  # re-raises naming the entry that overflowed
             raise
+        if not values:
+            first = 1  # an empty band is a zero column, whatever its first row
+        elif first < 1 or first + len(values) - 1 > rows:
+            raise ParameterError(
+                f"column_fn of family '{h.family}' gives column {j} rows {first}.."
+                f"{first + len(values) - 1}, outside rows 1..{rows}"
+            )
         if full and len(values) < rows:
             values = [pad] * (first - 1) + values + [pad] * (rows + 1 - first - len(values))
             first = 1

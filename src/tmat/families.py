@@ -106,6 +106,7 @@ def register_family(
     column_fn(params, j, kind) -> (first_row, values) is optional: values are
     rows first_row .. first_row + len(values) - 1 of column j, every entry
     outside them is exactly zero(kind), and each value equals element_fn's.
+    A band must lie in rows 1 .. m; an empty band is a zero column.
     The descriptor is stored with capabilities naming the routines passed
     (det_fn, inverse_fn, eigvals_fn, a non-empty predicates); one that
     declares a different non-empty set is refused.

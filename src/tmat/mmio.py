@@ -7,8 +7,9 @@ original scalar kind since the format has no rational field. The reader
 supports `array real general` and `array real symmetric` files, for round-trip
 testing. A square matrix whose family declares the O(1) `symmetric`
 predicate true has only its diagonal and lower triangle formatted
-(`_mirrored`). A path naming a regular file, or nothing yet, is replaced only
-once the whole matrix is written (`_sink`).
+(`_mirrored`; in `export_array`, while its columns are whole). A path naming
+a regular file, or nothing yet, is replaced only once the whole matrix is
+written (`_sink`).
 """
 
 from __future__ import annotations
@@ -44,37 +45,24 @@ def _mirrored(h: MatrixHandle, zero_tol: float = 0.0) -> bool:
 def _column_texts(h: MatrixHandle, symmetric: bool):
     """Yield (j, start, texts) for each column band of h (see core.columns),
     texts[k] being the text of row start + k. With symmetric=True the band is
-    cut to the lower triangle. Otherwise, when h is _mirrored, an entry above
-    the diagonal takes the text its mirror got when its column passed, until
-    more than MIRROR_TEXTS texts would be held for that."""
-    mirrored = not symmetric and _mirrored(h)
-    left = [[] for _ in range(h.rows + 1)]  # left[i]: texts of row i, columns k0 .. i - 1
-    bottom = held = 0  # the lowest row handed to left so far; the texts left holds
+    cut to the lower triangle. Otherwise, when h is _mirrored, a whole column
+    (rows 1 .. m) takes the texts above its diagonal from the columns before
+    it, while every column so far is whole and at most MIRROR_TEXTS texts are
+    held for that; the other columns format their own band."""
+    m = h.rows
+    left = [[] for _ in range(m + 1)] if not symmetric and _mirrored(h) else None
     for j, first, values in columns(h):
-        if not (symmetric or mirrored):
-            yield j, first, list(map(format_value, values))
+        if left is not None and (len(values) < m or j * (m - j) > MIRROR_TEXTS):
+            left = None  # this column and every later one format their own band
+        if left is None:
+            start = max(first, j) if symmetric else first
+            yield j, start, list(map(format_value, values[start - first:]))
             continue
-        start = max(first, j)
-        texts = list(map(format_value, values[start - first:]))
-        if mirrored:
-            # rows j + 1 .. bottom of column j, "0" outside its band, go to the
-            # left parts: however the bands vary, row i's then spans columns k0 .. i - 1
-            below = (["0"] * (start - j) + texts)[1:] if texts else []
-            bottom = max(bottom, j + len(below))
-            below += ["0"] * (bottom - j - len(below))
-            # rows first .. j - 1 are row j's last j - first mirrors, "0" where
-            # a mirror's column ends above row j; each text is then released
-            above, left[j] = left[j], None
-            need = max(j - first, 0)
-            if need:
-                texts = (["0"] * need + above)[len(above):] + texts
-                start = first
-            held += len(below) - len(above)
-            if held > MIRROR_TEXTS:  # later columns format their own upper part
-                mirrored = left = None
-            else:
-                list(map(list.append, left[j + 1:bottom + 1], below))
-        yield j, start, texts
+        # rows j + 1 .. m go to the rows' left parts; row j's is then complete
+        below = list(map(format_value, values[j - 1:]))
+        list(map(list.append, left[j + 1:], below[1:]))
+        texts, left[j] = left[j] + below, None
+        yield j, 1, texts
 
 
 @contextmanager
@@ -139,26 +127,20 @@ def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     """Write the sparse coordinate format: size line `m n nnz`, then 1-based
     `i j value` triplets in row-major traversal order; entries with
     |value| <= zero_tol are dropped."""
+    mirrored = _mirrored(h, zero_tol)  # row j is column j: its lines are made as column j passes
+    labels = [f"{k} " for k in range(max(h.rows, h.cols) + 1)]
     by_row = [[] for _ in range(h.rows + 1)]
-    if _mirrored(h, zero_tol):  # row j is column j: its lines are made as column j passes
-        labels = [f"{k} " for k in range(h.cols + 1)]
-        for j, first, values in columns(h):
-            start, lj = max(first, j), labels[j]
-            low = values[start - first:]
-            for k in compress(count(), low):  # zeros are never kept
-                v = float(low[k])
-                if abs(v) > zero_tol:
-                    i, t = start + k, format_value(v)
+    # zero_tol < 0 keeps every entry, out-of-band zeros too; otherwise no zero is kept
+    for j, first, values in columns(h, full=zero_tol < 0):
+        start = max(first, j) if mirrored else first
+        band, lj = values[start - first:], labels[j]
+        for k in compress(count(), band) if zero_tol >= 0 else range(len(band)):
+            v = float(band[k])
+            if abs(v) > zero_tol:
+                i, t = start + k, format_value(v)
+                by_row[i].append(f"{labels[i]}{lj}{t}\n")
+                if mirrored and i > j:  # the mirror (j, i) reuses the text
                     by_row[j].append(f"{lj}{labels[i]}{t}\n")
-                    if i > j:  # the mirror (i, j) reuses the text
-                        by_row[i].append(f"{labels[i]}{lj}{t}\n")
-    else:
-        # out-of-band zeros are kept only when zero_tol < 0
-        for j, first, values in columns(h, full=zero_tol < 0):
-            mid = f" {j} "
-            for i, v in enumerate(map(float, values), first):
-                if abs(v) > zero_tol:
-                    by_row[i].append(f"{i}{mid}{format_value(v)}\n")
     with _sink(sink) as out:
         for line in _header_lines(h, "coordinate", "general"):
             out.write(line + "\n")

@@ -18,6 +18,7 @@ from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
 from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
 from .families import construct, feasible_size, get_family
 from .linalg import (
+    _bandwidths,
     _bareiss,
     as_dense,
     cond1,
@@ -192,17 +193,10 @@ class _AuditContext:
     @cached_property
     def bandwidths(self):
         """(lower, upper): the largest i - j and j - i over the nonzero entries."""
-        nonzero = [(i, j) for i, j, v in _all_entries(self.dense) if v != 0]
-        return max([0] + [i - j for i, j in nonzero]), max([0] + [j - i for i, j in nonzero])
+        return _bandwidths(self.dense.to_rows())[1:]
 
 
 # -- structural scans -----------------------------------------------------------
-
-
-def _all_entries(d):
-    for j in range(1, d.cols + 1):
-        for i in range(1, d.rows + 1):
-            yield i, j, d.get(i, j)
 
 
 def _check_symmetric(ctx):
@@ -256,20 +250,20 @@ def _check_circulant(ctx):
 
 
 def _check_binary(ctx):
-    values = {float(v) for _, _, v in _all_entries(ctx.dense)}
+    values = {float(v) for v in ctx.dense.data}
     return len(values) <= 2
 
 
 def _check_integer(ctx):
-    return all(value_is_integer(v) for _, _, v in _all_entries(ctx.dense))
+    return all(value_is_integer(v) for v in ctx.dense.data)
 
 
 def _check_positive(ctx):
-    return all(v > 0 for _, _, v in _all_entries(ctx.dense))
+    return all(v > 0 for v in ctx.dense.data)
 
 
 def _check_nonneg(ctx):
-    return all(v >= 0 for _, _, v in _all_entries(ctx.dense))
+    return all(v >= 0 for v in ctx.dense.data)
 
 
 def _check_diagdom(ctx):
@@ -283,7 +277,7 @@ def _check_diagdom(ctx):
 
 def _check_sparse(ctx):
     d = ctx.dense
-    nnz = sum(1 for _, _, v in _all_entries(d) if v != 0)
+    nnz = sum(1 for v in d.data if v != 0)
     return nnz <= max(3 * max(d.rows, d.cols), (d.rows * d.cols) // 2)
 
 
@@ -292,7 +286,7 @@ def _check_rectangular(ctx):
 
 
 def _check_complex(ctx):
-    return any(isinstance(v, complex) for _, _, v in _all_entries(ctx.dense))
+    return any(isinstance(v, complex) for v in ctx.dense.data)
 
 
 # -- numeric checks ---------------------------------------------------------------

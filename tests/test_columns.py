@@ -5,6 +5,7 @@ element() returns, and every bulk output must equal one built from element().
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,49 @@ def test_too_narrow_band_fails_the_audit():
     assert "narrowband\t3\tcolumn_fn\tfail\tcolumn_fn disagrees with element_fn at (2, 1)" in (
         render_audit(reports)
     )
+
+
+def _register_band(name, column_fn):
+    register_family(
+        FamilyDescriptor(
+            id=name, params=(ParamSpec("n", "dim"),), default_scalar_kind=FLOAT64, tags=()
+        ),
+        lambda p, i, j, k: 1.0,
+        column_fn=column_fn,
+    )
+
+
+BULK_OPS = {
+    "materialize": materialize,
+    "is_symmetric": is_symmetric,
+    "entry_sum": entry_sum,
+    "frobenius_norm": frobenius_norm,
+    "export_array": lambda h: export_array(h, io.StringIO()),
+    "export_coordinate": lambda h: export_coordinate(h, io.StringIO()),
+    "export_coordinate_all": lambda h: export_coordinate(h, io.StringIO(), zero_tol=-1.0),
+}
+
+
+@pytest.mark.parametrize("op", BULK_OPS.values(), ids=BULK_OPS.keys())
+@pytest.mark.parametrize(
+    "band, rows",
+    [((1, [1.0] * 3), "1..3"), ((0, [1.0]), "0..0"), ((2, [1.0, 1.0]), "2..3")],
+)
+def test_a_band_outside_the_rows_names_the_column_fn(op, band, rows):
+    _register_band("badband", lambda p, j, k: band if j == 1 else (1, [1.0, 1.0]))
+    message = f"column_fn of family 'badband' gives column 1 rows {rows}, outside rows 1..2"
+    with pytest.raises(tmat.ParameterError, match=re.escape(message)):
+        op(construct("badband", n=2))
+
+
+def test_an_empty_band_is_a_zero_column_whatever_its_first_row():
+    _register_band("emptyband", lambda p, j, k: (3, []))
+    h = construct("emptyband", n=1)
+    assert materialize(h).data == [0.0]
+    assert is_symmetric(h) and entry_sum(h) == 0.0
+    assert _write(export_array, h).endswith("1 1\n0\n")
+    assert _write(export_coordinate, h).endswith("1 1 0\n")
+    assert _write(export_coordinate, h, zero_tol=-1.0).endswith("1 1 1\n1 1 0\n")
 
 
 # -- exact entry sums ---------------------------------------------------------------------

@@ -311,7 +311,24 @@ def test_user_families_declared_symmetric_match_the_oracle():
         return first, [skip2(p, i, j, k) for i in range(first, min(p["n"], j + 2) + 1)]
 
     _register("skip2", skip2, skip2_column)
-    for name in ("symuser", "wideband", "arrow", "skip2"):
+
+    # tridiagonal with distinct entries: the first k columns declare the whole
+    # column and the later ones their band, so export_array mirrors only the first k
+    def tridiagonal8(p, i, j, k):
+        return (i + j) / 8 if abs(i - j) <= 1 else 0.0
+
+    def whole_first(whole):
+        def column(p, j, k):
+            n = p["n"]
+            first, last = (1, n) if j <= whole(n) else (max(1, j - 1), min(n, j + 1))
+            return first, [tridiagonal8(p, i, j, k) for i in range(first, last + 1)]
+
+        return column
+
+    _register("whole0", tridiagonal8, whole_first(lambda n: 0))
+    _register("whole1", tridiagonal8, whole_first(lambda n: 1))
+    _register("wholen", tridiagonal8, whole_first(lambda n: n))
+    for name in ("symuser", "wideband", "arrow", "skip2", "whole0", "whole1", "wholen"):
         for n in (0, 1, 2, 3, 7, 12):
             h = construct(name, n=n)
             assert tmat.mmio._mirrored(h)

@@ -18,7 +18,7 @@ from math import comb, copysign, cos, frexp, inf, isfinite, isqrt, lcm, ldexp, p
 from operator import truediv
 
 from .core import DenseMatrix
-from .errors import ParameterError, RationalOverflowError, SingularMatrixError
+from .errors import ParameterError, RationalOverflowError, SingularMatrixError, UnsupportedOperationError
 from .families import FamilyDescriptor, ParamSpec, _set_builtin_ids, construct, register_family
 from .scalars import FLOAT64, RATIONAL64, Rational64, exact, from_exact, from_int, one, ratio, zero
 
@@ -364,7 +364,7 @@ def _pei_det(h):
         a = exact(h.params["alpha"])
         return from_exact(kind, a ** (n - 1) * (a + n), "determinant")
     a = h.params["alpha"]
-    return a ** (n - 1) * (a + n)
+    return _power(a, n - 1) * (a + n)
 
 
 # -- pascal ---------------------------------------------------------------------
@@ -501,9 +501,14 @@ def _forsythe_eigvals(h):
     n = h.rows
     lam = complex(float(h.params["lambda"]))
     alpha = complex(float(h.params["alpha"]))
-    if n == 0:
-        return []
-    r = alpha ** (1.0 / n)
+    if n <= 1:
+        return [lam + alpha] * n  # the one entry
+    try:
+        r = alpha ** (1.0 / n)
+    except OverflowError:  # complex pow of an infinite alpha
+        raise UnsupportedOperationError(
+            f"eigvals of forsythe: alpha = {h.params['alpha']} puts every eigenvalue beyond the float range"
+        ) from None
     vals = [lam + r * cmath.exp(2j * pi * k / n) for k in range(n)]
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
@@ -550,7 +555,7 @@ def _jordbloc_det(h):
         return one(kind)
     if kind == RATIONAL64:
         return from_exact(kind, exact(h.params["lambda"]) ** h.rows, "determinant")
-    return h.params["lambda"] ** h.rows
+    return _power(h.params["lambda"], h.rows)
 
 
 # -- frank --------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every operation prefers a family's registered closed-form routine and falls
 back to a generic algorithm on the materialized matrix for determinants,
 inverses, solves, and ranks: fraction-free integer elimination (Bareiss) in
-rational64, LU with thresholded partial pivoting in float64. The float LU
+rational64, LU with thresholded partial pivoting in float64. A closed inverse
+X also answers solve, as X b, and the ||A^-1||_1 of cond1. The float LU
 works only inside the band it measures from the rows, so it costs
 O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
 solves skip the zeros of L and U.
@@ -53,6 +54,11 @@ def _require_square(h, what: str):
         raise UnsupportedOperationError(
             f"{what} requires a square matrix, got {h.rows}x{h.cols}"
         )
+
+
+def _require_length(rhs: list, n: int):
+    if len(rhs) != n:
+        raise UnsupportedOperationError(f"right-hand side length {len(rhs)} != matrix dimension {n}")
 
 
 # -- exact elimination: fraction-free Bareiss ------------------------------------
@@ -293,11 +299,7 @@ def _factor_or_raise(d: DenseMatrix):
 
 def solve_dense(d: DenseMatrix, rhs: list) -> list:
     _require_square(d, "solve")
-    n = d.rows
-    if len(rhs) != n:
-        raise UnsupportedOperationError(
-            f"right-hand side length {len(rhs)} != matrix dimension {n}"
-        )
+    _require_length(rhs, d.rows)
     if d.scalar_kind == RATIONAL64:
         return [x for (x,) in _exact_solve(d, [[v] for v in rhs], "solve")]
     lu, perm, band = _factor_or_raise(d)
@@ -719,13 +721,40 @@ def is_posdef(h: MatrixHandle) -> bool:
 
 
 def solve(h: MatrixHandle, rhs: list) -> list:
-    """LU solve of A x = rhs; exact in rational64."""
+    """x with A x = rhs: X rhs for a family's closed inverse X, else Bareiss
+    (exact) in rational64 or LU in float64. X rhs is exact in rational64 and
+    forward but not backward stable in float64 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 14.1)."""
     _require_square(h, "solve")
+    _require_length(rhs, h.rows)
     if h.scalar_kind == RATIONAL64:
         rhs = [Rational64.from_number(v) if not isinstance(v, Rational64) else v for v in rhs]
     else:
         rhs = [float(v) for v in rhs]
-    return solve_dense(materialize(h), rhs)
+    x = _closed_solve(h, rhs)
+    return solve_dense(materialize(h), rhs) if x is None else x
+
+
+def _closed_solve(h: MatrixHandle, b: list):
+    """X b from the rows of the closed inverse X (rational rows scaled to
+    integers, as in matmul_dense), or None: no X, an X that overflows, or in
+    float64 a non-finite x or a zero row of X, which no inverse has (pei and
+    kms lose every entry to a square beyond the float range)."""
+    fn, n = h.record.inverse_fn, h.rows
+    try:
+        inv = None if fn is None else fn(h)
+        if inv is None:
+            return None
+        data = as_dense(inv).data
+        if h.scalar_kind != RATIONAL64:
+            rows = [data[i::n] for i in range(n)]
+            x = [sum(map(mul, row, b)) for row in rows]
+            return x if all(map(any, rows)) and all(map(isfinite, x)) else None
+        scaled, db = _integer_scaled(b)
+        return [from_exact(RATIONAL64, Fraction(sum(map(mul, row, scaled)), dr * db), "solve")
+                for row, dr in (_integer_scaled(data[i::n]) for i in range(n))]
+    except OverflowError:  # also a float inversehilbert past n = 200
+        return None
 
 
 def rank(h: MatrixHandle) -> int:
@@ -733,10 +762,10 @@ def rank(h: MatrixHandle) -> int:
 
 
 def cond1(h: MatrixHandle) -> float:
-    """1-norm condition number by explicit inverse, computed in float64.
-
-    Singular matrices yield +inf. The dimension is capped at COND1_DIM_BOUND
-    since explicit inversion is intended for desk-scale diagnostics.
+    """1-norm condition number ||A||_1 ||A^-1||_1 of the float64 twin, ||A^-1||_1
+    from its closed inverse in O(n^2) where that norm is positive and finite,
+    else from the LU inverse. Singular matrices yield +inf. The dimension is
+    capped at COND1_DIM_BOUND: explicit inversion is for desk-scale diagnostics.
     """
     _require_square(h, "cond1")
     n = h.rows
@@ -746,24 +775,25 @@ def cond1(h: MatrixHandle) -> float:
         raise UnsupportedOperationError(
             f"cond1 is limited to dimension <= {COND1_DIM_BOUND}, got {n}"
         )
-    rows = _float_rows(h)
-    norm_a = _norm1_rows(rows)
-    dense = DenseMatrix.from_rows(rows, FLOAT64)
+    twin = _float_twin(h)
+    dense = materialize(twin)
+    fn = twin.record.inverse_fn
     try:
-        inv = inverse_dense(dense)
+        inv = None if fn is None else fn(twin)
+        norm_inv = inf if inv is None else _norm1(as_dense(inv))
+        if not 0 < norm_inv < inf:  # lost entries (see _closed_solve), or NaN
+            norm_inv = _norm1(inverse_dense(dense))
     except SingularMatrixError:
-        return float("inf")
-    return norm_a * _norm1_rows(inv.to_rows())
+        return inf
+    return _norm1(dense) * norm_inv
 
 
-def _norm1_rows(rows: list[list[float]]) -> float:
-    if not rows:
-        return 0.0
-    n = len(rows[0])
-    return max(
-        (fsum(abs(rows[i][j]) for i in range(len(rows))) for j in range(n)),
-        default=0.0,
-    )
+def _norm1(d: DenseMatrix) -> float:
+    """Largest column sum of magnitudes, each reduced as _sum reduces: fsum,
+    correctly rounded, and inf for a sum beyond the float range."""
+    m, data = d.rows, d.data
+    cols = (data[j * m:(j + 1) * m] for j in range(d.cols))
+    return max((_sum(FLOAT64, lambda c=c: map(abs, c), "cond1") for c in cols), default=0.0)
 
 
 def spectral_moduli(h: MatrixHandle, rel_tol: float = 1e-9) -> list[tuple[float, int]]:

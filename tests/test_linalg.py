@@ -392,6 +392,40 @@ def test_cond1():
         cond1(construct("minij", n=100))
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [("kms", {"rho": 1.7e308}), ("triw", {"alpha": 1.7e308}), ("forsythe", {"alpha": 1.7e308, "lam": 1.7e308})],
+)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_cond1_of_entries_near_the_float_range_returns_or_refuses(family, params, n):
+    # a column sum beyond the float range is inf, not fsum's OverflowError
+    try:
+        assert isinstance(cond1(construct(family, n=n, scalar_kind=tmat.FLOAT64, **params)), float)
+    except tmat.TmatError:
+        pass
+
+
+def test_closed_determinants_beyond_the_float_range_are_signed_inf():
+    jordbloc = construct("jordbloc", n=2, lam=1e300, scalar_kind=tmat.FLOAT64)
+    assert determinant(jordbloc) == math.inf
+    assert determinant(construct("jordbloc", n=3, lam=-1e300, scalar_kind=tmat.FLOAT64)) == -math.inf
+
+
+def test_pei_determinant_beyond_the_float_range_is_signed_inf():
+    # alpha^(n-1) (alpha + n)
+    assert determinant(construct("pei", n=3, alpha=1e300, scalar_kind=tmat.FLOAT64)) == math.inf
+    assert determinant(construct("pei", n=3, alpha=-1e300, scalar_kind=tmat.FLOAT64)) == -math.inf
+    assert determinant(construct("pei", n=4, alpha=-1e300, scalar_kind=tmat.FLOAT64)) == math.inf
+
+
+def test_forsythe_eigvals_with_an_infinite_corner():
+    # n = 1: the one entry lambda + alpha; n >= 2: |alpha|^(1/n) is beyond range
+    assert eigvals(construct("forsythe", n=1, alpha=math.inf, scalar_kind=tmat.FLOAT64)) == [math.inf]
+    for alpha in (math.inf, -math.inf):
+        with pytest.raises(UnsupportedOperationError, match="eigvals of forsythe"):
+            eigvals(construct("forsythe", n=2, alpha=alpha, scalar_kind=tmat.FLOAT64))
+
+
 def test_entry_sum():
     assert entry_sum(construct("minij", n=3)) == 14
     assert entry_sum(construct("kms", n=2)) == pytest.approx(3.0)

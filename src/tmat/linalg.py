@@ -10,15 +10,15 @@ O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
 solves skip the zeros of L and U.
 Symmetric spectra come from implicit QL (tql1), preceded by Householder
 reduction to tridiagonal form (tred1) unless the matrix is tridiagonal
-already. Cyclic Jacobi is no route of eigvals: it is the audit's independent
-oracle.
+already. Cyclic Jacobi is no route of eigvals; the audit checks correlation
+and indefinite with it, and closed spectra with Berkowitz's exact det(xI - A).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from cmath import isfinite
-from itertools import chain, compress, count
+from itertools import accumulate, chain, compress, count
 from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
 from operator import eq, mul
 from sys import float_info
@@ -117,6 +117,22 @@ def _bareiss(rows: list[list], ncols: int, *, jordan: bool = False, leading: boo
         r += 1
     det = Fraction(sign * d, scale) if r == m else 0
     return a, r, d, det
+
+
+def _charpoly(rows: list[list]) -> list[Fraction]:
+    """c_0..c_n of det(xI - A) for square exact rows: Berkowitz (1984) on dA, d the lcm of
+    the denominators, c_k(A) = c_k(dA) / d^(n-k); p is det(xI - A_r), highest degree first."""
+    n = len(rows)
+    ints, d = _integer_scaled([v for row in rows for v in row])
+    a = [ints[i * n:(i + 1) * n] for i in range(n)]
+    p = [1]
+    for r in range(n):  # border A_r by column s, row head and a_rr: p times a Toeplitz matrix
+        block, head, s = [row[:r] for row in a[:r]], a[r][:r], [row[r] for row in a[:r]]
+        powers = accumulate(range(r - 1), lambda v, _: [sum(map(mul, row, v)) for row in block],
+                            initial=s)  # s, A_r s, ..., A_r^(r-1) s; at r = 0 an unread 0
+        col = [1, -a[r][r]] + [-sum(map(mul, head, v)) for v in powers]
+        p = [sum(map(mul, col[i::-1], p)) for i in range(r + 2)]
+    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
 
 
 def _exact_solve(d: DenseMatrix, rhs_rows: list[list], what: str) -> list[list]:
@@ -753,7 +769,7 @@ def _closed_solve(h: MatrixHandle, b: list):
         scaled, db = _integer_scaled(b)
         return [from_exact(RATIONAL64, Fraction(sum(map(mul, row, scaled)), dr * db), "solve")
                 for row, dr in (_integer_scaled(data[i::n]) for i in range(n))]
-    except OverflowError:  # also a float inversehilbert past n = 200
+    except OverflowError:  # a rational64 X or X b beyond the 64-bit range
         return None
 
 

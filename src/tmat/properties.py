@@ -10,9 +10,10 @@ and purely declarative tags report not-checkable.
 from __future__ import annotations
 
 import itertools
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, isqrt, sqrt
 
 from .core import DenseMatrix, MatrixHandle, frobenius_of_dense, materialize
 from .errors import ParameterError, RationalOverflowError, TmatError, UnknownPropertyError
@@ -20,6 +21,8 @@ from .families import construct, feasible_size, get_family
 from .linalg import (
     _bandwidths,
     _bareiss,
+    _charpoly,
+    _integer_scaled,
     as_dense,
     cond1,
     dense_is_diagonal,
@@ -33,7 +36,7 @@ from .linalg import (
     max_abs_identity_residual,
     rank_dense,
 )
-from .scalars import FLOAT64, RATIONAL64, Rational64, value_is_integer
+from .scalars import FLOAT64, RATIONAL64, value_is_integer
 
 PROPERTY_TAGS: tuple[str, ...] = (
     "bidiagonal",
@@ -191,6 +194,13 @@ class _AuditContext:
             return exc
 
     @cached_property
+    def charpoly(self):
+        """c_0..c_n of det(xI - A), or None unless A is square with finite real entries."""
+        d = self.dense
+        real = d.rows == d.cols and all(isfinite(v) and not isinstance(v, complex) for v in d.data)
+        return _charpoly(d.to_rows()) if real else None
+
+    @cached_property
     def bandwidths(self):
         """(lower, upper): the largest i - j and j - i over the nonzero entries."""
         return _bandwidths(self.dense.to_rows())[1:]
@@ -292,8 +302,12 @@ def _check_complex(ctx):
 # -- numeric checks ---------------------------------------------------------------
 
 
-def _near_identity(ctx, product):
-    return max_abs_identity_residual(product) <= AUDIT_TOL * max(1.0, ctx.frob) ** 2
+def _near(ctx, residual):
+    """residual <= AUDIT_TOL * max(1, ||A||_F)^2, refused where float products may overflow."""
+    f = max(1.0, ctx.frob)
+    if f * f == inf:
+        raise TmatError(f"products of entries with ||A||_F = {f:.3e} leave the float range")
+    return residual <= AUDIT_TOL * f * f
 
 
 def _check_posdef(ctx):
@@ -303,40 +317,28 @@ def _check_posdef(ctx):
 def _check_orthogonal(ctx):
     if ctx.dense.rows != ctx.dense.cols:
         return False
-    return _near_identity(ctx, matmul_dense(ctx.float_transpose, ctx.float_dense))
+    return _near(ctx, max_abs_identity_residual(matmul_dense(ctx.float_transpose, ctx.float_dense)))
 
 
 def _check_involutory(ctx):
     if ctx.dense.rows != ctx.dense.cols:
         return False
-    return _near_identity(ctx, matmul_dense(ctx.float_dense, ctx.float_dense))
+    return _near(ctx, max_abs_identity_residual(matmul_dense(ctx.float_dense, ctx.float_dense)))
 
 
 def _check_normal(ctx):
     if ctx.dense.rows != ctx.dense.cols:
         return False
     a, t = ctx.float_dense, ctx.float_transpose
-    diff = max(abs(x - y) for x, y in zip(matmul_dense(t, a).data, matmul_dense(a, t).data))
-    return diff <= AUDIT_TOL * max(1.0, ctx.frob) ** 2
+    return _near(ctx, max(abs(x - y) for x, y in zip(matmul_dense(t, a).data, matmul_dense(a, t).data)))
 
 
-def _check_nilpotent(ctx):
-    n = ctx.dense.rows
-    if n != ctx.dense.cols:
-        return False
-    power = ctx.float_dense
-    for _ in range(n - 1):
-        power = matmul_dense(power, ctx.float_dense)
-    return max(map(abs, power.data), default=0.0) <= AUDIT_TOL * max(1.0, ctx.frob) ** n
+def _check_nilpotent(ctx):  # Cayley-Hamilton: A^n = 0 iff det(xI - A) = x^n
+    return ctx.charpoly is not None and not any(ctx.charpoly[:-1])
 
 
-def _check_unimodular(ctx):
-    if ctx.dense.rows != ctx.dense.cols or not _check_integer(ctx):
-        return False
-    det = det_dense(ctx.dense)
-    if isinstance(det, Rational64):
-        return det == 1 or det == -1
-    return abs(abs(det) - 1.0) <= AUDIT_TOL
+def _check_unimodular(ctx):  # |det A| = |c_0|
+    return _check_integer(ctx) and ctx.charpoly is not None and abs(ctx.charpoly[0]) == 1
 
 
 def _check_rankdef(ctx):
@@ -433,32 +435,33 @@ def _check_inverse_tag(ctx) -> AuditFinding:
 
 
 def _check_eigen_tag(ctx) -> AuditFinding:
+    """The closed spectrum against the exact det(xI - A) = sum c_k x^k: each c_k is within
+    AUDIT_TOL * b_k of v_k, the exact terms of prod(x + |lambda|) and prod(x - lambda)."""
     h = ctx.handle
-    rec = h.record
-    if rec.eigvals_fn is None:
+    if h.record.eigvals_fn is None:
         return AuditFinding("eigen", NOT_CHECKABLE, "no closed-form spectrum registered")
-    closed = rec.eigvals_fn(h)
-    n = h.rows
-    as_complex = [complex(c) for c in closed]
-    all_real = all(abs(z.imag) <= 1e-12 * max(1.0, abs(z)) for z in as_complex)
-    if all_real and ctx.symmetric:
-        oracle = jacobi_eigvals(ctx.float_rows)
-        worst = max(
-            (abs(c - o) for c, o in zip(sorted(z.real for z in as_complex), oracle)),
-            default=0.0,
-        )
-        ok = worst <= AUDIT_TOL * max(1.0, ctx.frob)
-        return AuditFinding("eigen", PASS if ok else FAIL, f"spectral mismatch {worst:.3e}")
-    scale = max(1.0, ctx.frob) ** n
-    data = [complex(v) for v in ctx.float_dense.data]
-    worst = 0.0
-    for lam in closed:
-        shifted = data.copy()
-        for k in range(0, n * n, n + 1):
-            shifted[k] -= lam
-        worst = max(worst, abs(det_dense(DenseMatrix(n, n, shifted, FLOAT64))))
-    ok = worst <= 1e-8 * scale
-    return AuditFinding("eigen", PASS if ok else FAIL, f"max |det(A - lambda I)| = {worst:.3e}")
+    try:
+        closed = [complex(z) for z in h.record.eigvals_fn(h)]
+    except TmatError as exc:
+        return AuditFinding("eigen", SKIPPED, str(exc))
+    c, n = ctx.charpoly, h.rows
+    if c is None:
+        return AuditFinding("eigen", NOT_CHECKABLE, "an entry is not a finite real")
+    if len(closed) != n or not all(map(isfinite, closed)):
+        return AuditFinding("eigen", FAIL, f"{len(closed)} eigenvalues, not {n} finite ones")
+    ints, d = _integer_scaled([part for z in closed for part in (z.real, z.imag)])
+    worst, vr, vi, b = 0.0, [1], [0], [1]  # v and b lowest degree first, scaled by d^(n - k)
+    for re, im in zip(ints[::2], ints[1::2]):
+        vr, vi = ([a - re * x + im * y for a, x, y in zip([0] + vr, vr + [0], vi + [0])],
+                  [a - re * y - im * x for a, x, y in zip([0] + vi, vr + [0], vi + [0])])
+        b = [a + isqrt(re * re + im * im) * x for a, x in zip([0] + b, b + [0])]
+    for k, ck in enumerate(c):  # |c_k - v_k|^2 / b_k^2 = num / den
+        p, q = ck.numerator * d ** (n - k), ck.denominator
+        num, den = (p - vr[k] * q) ** 2 + (vi[k] * q) ** 2, (b[k] * q) ** 2
+        if num:  # inf past 2^1000, and wherever b_k is 0
+            worst = max(worst, sqrt(num / den) if num < den << 1000 else inf)
+    ok = worst <= AUDIT_TOL
+    return AuditFinding("eigen", PASS if ok else FAIL, f"characteristic polynomial mismatch {worst:.3e}")
 
 
 def _check_illcond(ctx) -> AuditFinding:

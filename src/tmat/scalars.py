@@ -240,7 +240,12 @@ def one(kind: str):
 
 
 def from_int(kind: str, value: int):
-    return Rational64(value) if kind == RATIONAL64 else float(value)
+    if kind == RATIONAL64:
+        return Rational64(value)
+    try:
+        return float(value)
+    except OverflowError:  # beyond the float range: the signed inf, as from_exact gives
+        return inf if value > 0 else -inf
 
 
 def ratio(kind: str, num: int, den: int):

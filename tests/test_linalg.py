@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tmat
@@ -37,9 +37,11 @@ from tmat import (
 )
 from tmat import linalg
 from tmat.core import DenseMatrix
-from tmat.families import get_family
+from tmat.families import feasible_size, get_family
 from tmat.linalg import (
     _bandwidths,
+    _bareiss,
+    _charpoly,
     _float_rows,
     as_dense,
     dense_is_diagonal,
@@ -926,3 +928,46 @@ def test_dense_sum_equals_entry_sum(family, params, kind):
     lazy, dense = entry_sum(h), linalg.dense_sum(materialize(h))
     assert type(lazy) is type(dense)
     assert lazy == dense or (lazy != lazy and dense != dense)
+
+
+# -- the exact characteristic polynomial -------------------------------------------
+
+_CHARPOLY_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 0.5, -3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)  # 1e300 next to 1e-300 puts d, the lcm of the denominators, past 2^1000
+_CHARPOLY_RATIONALS = st.builds(
+    Rational64,
+    st.integers(INT64_MIN + 1, INT64_MAX) | st.integers(-9, 9),
+    st.integers(1, INT64_MAX) | st.integers(1, 9),
+)
+
+
+@pytest.mark.parametrize("n", range(7))
+@settings(derandomize=True, max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_charpoly_matches_the_cofactor_oracle(n, data):
+    entries = data.draw(st.sampled_from([_CHARPOLY_FLOATS, _CHARPOLY_RATIONALS]))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    # det(tI - A) at n + 1 integer points fixes a polynomial of degree n
+    c = _charpoly(rows)
+    assert len(c) == n + 1 and c[n] == 1
+    exact = [[to_fraction(v) for v in row] for row in rows]
+    for t in range(-(n // 2), n + 1 - n // 2):
+        shifted = [[(t if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(exact)]
+        assert sum(ck * t**k for k, ck in enumerate(c)) == cofactor_det(shifted)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_charpoly_constant_term_is_the_signed_bareiss_determinant(family):
+    for n in range(1, 17):
+        size_params = feasible_size(family, n)
+        if size_params is None:
+            continue
+        try:
+            rows = materialize(construct(family, size_params)).to_rows()
+        except RationalOverflowError:
+            continue
+        if len(rows) != len(rows[0]):
+            continue
+        assert _charpoly(rows)[0] == (-1) ** len(rows) * _bareiss(rows, len(rows))[3], (family, n)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import tmat
@@ -9,14 +11,17 @@ from tmat import (
     audit,
     construct,
     list_properties,
+    materialize,
     parse_property,
     properties_of,
     register_family,
     render_audit,
 )
-from tmat.families import get_family
+from tmat.families import feasible_size, get_family
 from tmat.properties import (
     _BOOL_CHECKERS,
+    _AuditContext,
+    _check_eigen_tag,
     DECLARATIVE_TAGS,
     EXISTENTIAL_TAGS,
     PROPERTY_TAGS,
@@ -327,3 +332,187 @@ def test_undeclared_routine_is_audited(routines, extra):
     )
     (report,) = audit("twiceidentity", [3])
     assert [(f.tag, f.verdict) for f in report.findings] == [("symmetric", "pass")] + extra
+
+
+# -- the eigen check: the closed spectrum against the exact characteristic polynomial --
+
+
+def _eigen_findings(family, sizes, params=None):
+    """(size, eigen finding) at each feasible size, also for a family without the eigen tag."""
+    findings = []
+    for n in sizes:
+        if (size_params := feasible_size(family, n)) is not None:
+            h = construct(family, {**size_params, **(params or {})})
+            findings.append((n, _check_eigen_tag(_AuditContext(h, materialize(h)))))
+    return findings
+
+
+@pytest.mark.parametrize(
+    "family, wrong, sizes",
+    [
+        ("clement", lambda closed: lambda h: [closed(h)[0]] * h.rows, [8, 16]),
+        ("clement", lambda closed: lambda h: [v * 1.001 for v in closed(h)], [16]),
+        ("jordbloc", lambda closed: lambda h: [v + 0.5 for v in closed(h)], [16]),
+        ("jordbloc", lambda closed: lambda h: [v + 1.5 for v in closed(h)], [16]),
+        ("forsythe", lambda closed: lambda h: [v + 0.05 for v in closed(h)], [8, 16]),
+        ("forsythe", lambda closed: lambda h: [v + 0.5 for v in closed(h)], [16]),
+        ("minij", lambda closed: lambda h: closed(h)[1:], [5]),
+    ],
+    ids=[
+        "clement-first-repeated",
+        "clement-times-1.001",
+        "jordbloc-plus-0.5",
+        "jordbloc-plus-1.5",
+        "forsythe-plus-0.05",
+        "forsythe-plus-0.5",
+        "one-eigenvalue-dropped",
+    ],
+)
+def test_planted_wrong_spectrum_fails_eigen_audit(monkeypatch, family, wrong, sizes):
+    record = get_family(family)
+    monkeypatch.setattr(record, "eigvals_fn", wrong(record.eigvals_fn))
+    for report in audit(family, sizes):
+        (finding,) = [f for f in report.findings if f.tag == "eigen"]
+        assert finding.verdict == "fail", render_audit([report])
+
+
+def test_zero_spectrum_of_a_nonsingular_matrix_fails_the_eigen_check():
+    # prod(x + |lambda|) = x^3 leaves no tolerance below degree 3: c_0..c_2 must be 0
+    register_family(
+        FamilyDescriptor(
+            id="zerospectrum",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("eigen",),
+        ),
+        lambda p, i, j, k: 2.0 if i == j else 0.0,
+        eigvals_fn=lambda h: [0.0] * h.rows,
+    )
+    (report,) = audit("zerospectrum", [3])
+    assert [(f.tag, f.verdict) for f in report.findings] == [("eigen", "fail")]
+
+
+def test_spectrum_spanning_hundreds_of_decades_passes_the_eigen_check():
+    # the products of the small eigenvalues reach 1e-450, below the float range
+    register_family(
+        FamilyDescriptor(
+            id="graded",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("eigen",),
+        ),
+        lambda p, i, j, k: (1.0 if i == 1 else 1e-30) if i == j else 0.0,
+        eigvals_fn=lambda h: [1.0] + [1e-30] * (h.rows - 1),
+    )
+    for report in audit("graded", [8, 12, 16]):
+        assert [f.verdict for f in report.findings] == ["pass"], render_audit([report])
+
+
+def test_eigen_audit_sees_one_eigenvalue_moved_by_a_millionth(monkeypatch):
+    record = get_family("minij")
+    closed = record.eigvals_fn
+    monkeypatch.setattr(record, "eigvals_fn", lambda h: [closed(h)[0] * (1 + 1e-6)] + closed(h)[1:])
+    (report,) = audit("minij", [16])
+    assert ("eigen", "fail") in [(f.tag, f.verdict) for f in report.findings]
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("jordbloc", {"lambda": lam}) for lam in (0, -3, 1e-300, 0.1, 1e150, -1e200, 1e300)]
+    + [
+        ("forsythe", {"alpha": alpha, "lambda": lam})
+        for alpha in (1e-10, 0.5, 1, 1e10, 1e-300)
+        for lam in (0, 2, -1e100)
+    ]
+    + [("pei", {"alpha": alpha}) for alpha in (1e-3, -0.5, 1, 10, 1e6)]
+    + [("clement", {"symmetric": sym}) for sym in (False, True)]
+    + [("minij", {}), ("poisson", {})],
+)
+def test_true_closed_spectra_pass_the_eigen_check(family, params):
+    for n, finding in _eigen_findings(family, range(1, 17), params):
+        assert finding.verdict == "pass", (n, finding)
+        assert finding.note.startswith("characteristic polynomial mismatch")
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("jordbloc", {"lambda": 1e200}),
+        ("jordbloc", {"lambda": 1e300}),
+        ("forsythe", {"alpha": 1e-300, "lambda": 1e300}),
+        ("forsythe", {"alpha": math.inf}),
+    ],
+)
+def test_audit_of_extreme_parameters_returns_findings(family, params):
+    reports = audit(family, [1, 2, 3, 8], params)
+    assert [r.size for r in reports] == [1, 2, 3, 8]
+    for report in reports:
+        (finding,) = [f for f in report.findings if f.tag == "eigen"]
+        assert finding.verdict in ("pass", "skipped", "not-checkable"), render_audit([report])
+
+
+@pytest.mark.parametrize("family, params", [("forsythe", {"alpha": math.nan}), ("jordbloc", {"lambda": math.inf})])
+def test_entries_that_are_not_finite_make_the_eigen_tag_not_checkable(family, params):
+    for report in audit(family, [3, 8], params):
+        verdicts = {f.tag: (f.verdict, f.note) for f in report.findings}
+        assert verdicts["eigen"] == ("not-checkable", "an entry is not a finite real")
+
+
+def test_eigvals_fn_refusal_skips_the_eigen_tag():
+    ((_, finding),) = _eigen_findings("forsythe", [3], {"alpha": math.inf})
+    assert finding.verdict == "skipped" and "beyond the float range" in finding.note
+
+
+def test_complex_entries_make_the_eigen_tag_not_checkable():
+    register_family(
+        FamilyDescriptor(
+            id="complexdiagonal",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("eigen", "nilpotent"),
+        ),
+        lambda p, i, j, k: 1j * i if i == j else 0.0,
+        eigvals_fn=lambda h: [1j * i for i in range(1, h.rows + 1)],
+    )
+    (report,) = audit("complexdiagonal", [3])
+    assert [(f.tag, f.verdict) for f in report.findings] == [
+        ("eigen", "not-checkable"),
+        ("nilpotent", "not-checkable"),
+    ]
+
+
+def test_nilpotent_is_exact():
+    # a float power test takes jordbloc(1e-300)^n, 1e-2400 exactly, for zero
+    assert _verdicts("jordbloc", 8, {"lambda": 1e-300})["nilpotent"] == "not-checkable"
+    assert _verdicts("jordbloc", 8, {"lambda": 0})["nilpotent"] == "pass"
+
+
+def test_unimodular_is_exact():
+    # det = (a + 1)(a - 1) - a^2 = -1, which float LU loses to cancellation
+    a = float(2**27)
+    register_family(
+        FamilyDescriptor(
+            id="cancelling",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=("unimodular",),
+        ),
+        lambda p, i, j, k: (a + 1 if i == 1 else a - 1) if i == j else a,
+    )
+    assert [f.verdict for r in audit("cancelling", [2]) for f in r.findings] == ["pass"]
+
+
+@pytest.mark.parametrize("tag", ["orthogonal", "involutory", "normal"])
+def test_float_product_checks_refuse_entries_whose_squares_overflow(tag):
+    register_family(
+        FamilyDescriptor(
+            id="hugediagonal",
+            params=(ParamSpec("n", "dim"),),
+            default_scalar_kind=tmat.FLOAT64,
+            tags=(tag,),
+        ),
+        lambda p, i, j, k: 1e200 if i == j else 0.0,
+    )
+    (report,) = audit("hugediagonal", [2])
+    (finding,) = report.findings
+    assert finding.verdict == "skipped" and "leave the float range" in finding.note

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmat import ParameterError, Rational64, RationalOverflowError
+from tmat import ParameterError, Rational64, RationalOverflowError, construct, element, inverse, scalars
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -190,3 +190,19 @@ def test_constructor_matches_the_reference(args):
 )
 def test_constructor_edge_cases_match_the_reference(args):
     assert _typed_outcome(Rational64, args) == _typed_outcome(_reference_init, args)
+
+
+@pytest.mark.parametrize("value, want", [(10**400, math.inf), (-(10**400), -math.inf), (2**1023, 2.0**1023)])
+def test_from_int_beyond_the_float_range_is_the_signed_inf(value, want):
+    assert scalars.from_int(scalars.FLOAT64, value) == want
+
+
+def test_float_inversehilbert_entries_beyond_the_range_are_signed_inf():
+    # entry (i, j) of the inverse Hilbert matrix has sign (-1)^(i + j); at n = 260 the
+    # middle ones have over 308 digits
+    for h in (
+        construct("inversehilbert", n=260, scalar_kind="float64"),
+        inverse(construct("hilbert", n=260, scalar_kind="float64")),
+    ):
+        assert element(h, 130, 130) == math.inf
+        assert element(h, 130, 131) == -math.inf

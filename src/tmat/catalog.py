@@ -523,6 +523,8 @@ def _forsythe_inverse(h):
     if alpha == 0:
         raise SingularMatrixError("forsythe with lambda = 0 and alpha = 0 is nilpotent")
     inv_alpha = one(kind) / alpha
+    if not isfinite(inv_alpha):
+        return None  # a subnormal or NaN alpha: LU answers, as it does for solve
 
     def entry(i, j):
         if i == 1 and j == n:

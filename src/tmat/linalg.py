@@ -4,7 +4,8 @@ Every operation prefers a family's registered closed-form routine and falls
 back to a generic algorithm on the materialized matrix for determinants,
 inverses, solves, and ranks: fraction-free integer elimination (Bareiss) in
 rational64, LU with thresholded partial pivoting in float64. A closed inverse
-X also answers solve, as X b, and the ||A^-1||_1 of cond1. The float LU
+X also answers solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank
+wherever ||X||_F proves that every LU pivot clears the rank bound. The float LU
 works only inside the band it measures from the rows, so it costs
 O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
 solves skip the zeros of L and U.
@@ -17,9 +18,9 @@ and indefinite with it, and closed spectra with Berkowitz's exact det(xI - A).
 from __future__ import annotations
 
 from fractions import Fraction
-from cmath import isfinite
+from cmath import isfinite, isnan
 from itertools import accumulate, chain, compress, count
-from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nextafter, prod, sqrt
+from math import copysign, frexp, fsum, hypot, inf, lcm, ldexp, nan, nextafter, prod, sqrt
 from operator import eq, mul
 from sys import float_info
 
@@ -28,6 +29,7 @@ from .errors import (
     ConvergenceError,
     RationalOverflowError,
     SingularMatrixError,
+    TmatError,
     UnsupportedOperationError,
 )
 from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, zero
@@ -35,6 +37,7 @@ from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, zero
 FLOAT_SINGULAR_RTOL = 1e-13  # pivot below this times ||A||_F is singular
 FLOAT_RANK_RTOL = 1e-10  # pivot at or below this times ||A||_F is zero
 COND1_DIM_BOUND = 64
+_RANK_MARGIN = 2.0**10  # how far a closed inverse must put every pivot above the rank bound
 JACOBI_MAX_SWEEPS = 100
 JACOBI_RTOL = 1e-14  # converged once the off-diagonal norm is below this times ||A||_F
 QL_MAX_ITER = 30  # implicit QL iterations allowed per eigenvalue, as in EISPACK's tql1
@@ -620,12 +623,14 @@ def inverse(h: MatrixHandle):
     """Closed-form inverse (lazy handle or structured dense) when registered,
     else dense LU inverse. Raises SingularMatrixError on singular input."""
     _require_square(h, "inverse")
-    rec = h.record
-    if rec.inverse_fn is not None:
-        result = rec.inverse_fn(h)
-        if result is not None:
-            return result
-    return inverse_dense(materialize(h))
+    result = _closed_inverse(h)
+    return inverse_dense(materialize(h)) if result is None else result
+
+
+def _closed_inverse(h: MatrixHandle):
+    """The family's closed inverse of h, or None: none registered, or it declines."""
+    fn = h.record.inverse_fn
+    return None if fn is None else fn(h)
 
 
 def eigvals(h: MatrixHandle):
@@ -756,9 +761,9 @@ def _closed_solve(h: MatrixHandle, b: list):
     integers, as in matmul_dense), or None: no X, an X that overflows, or in
     float64 a non-finite x or a zero row of X, which no inverse has (pei and
     kms lose every entry to a square beyond the float range)."""
-    fn, n = h.record.inverse_fn, h.rows
+    n = h.rows
     try:
-        inv = None if fn is None else fn(h)
+        inv = _closed_inverse(h)
         if inv is None:
             return None
         data = as_dense(inv).data
@@ -774,7 +779,35 @@ def _closed_solve(h: MatrixHandle, b: list):
 
 
 def rank(h: MatrixHandle) -> int:
-    return rank_dense(materialize(h))
+    """rank_dense of the materialized matrix, but n for a square float64 one whose closed
+    inverse X gives 0 < a x and a x sqrt(n) M FLOAT_RANK_RTOL <= 1 (a = ||A||_F, x = ||X||_F,
+    M = _RANK_MARGIN). With partial pivoting each Schur complement S_k has as inverse a
+    trailing block of (PA)^-1, so sigma_min(S_k) >= 1/x, and its pivot, the largest entry
+    of its first column, is at least 1/(x sqrt(n)) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 9; Golub & Van Loan, 4th ed., 3.4): M times LU's
+    zero bound FLOAT_RANK_RTOL * a, M covering the rounding of X, of the norms and of LU.
+    x grows by columns; the first that fails the test (a NaN does) ends the certificate."""
+    d = materialize(h)
+    if h.scalar_kind == FLOAT64 and d.rows == d.cols and _certifies_full_rank(h, d):
+        return d.rows
+    return rank_dense(d)
+
+
+def _certifies_full_rank(h: MatrixHandle, d: DenseMatrix) -> bool:
+    try:
+        inv = _closed_inverse(h)
+    except TmatError:  # kms at rho^2 = 1, pei at alpha in {0, -n}: LU decides
+        return False
+    n, a, x = d.rows, frobenius_of_dense(d), 0.0
+    if isinstance(inv, MatrixHandle):
+        cols = (values for _, _, values in columns(inv))
+    else:  # no X leaves x = 0, which fails the test
+        cols = () if inv is None else (inv.data[j * n:(j + 1) * n] for j in range(n))
+    for col in cols:
+        x = hypot(x, hypot(*col))
+        if not a * x * sqrt(n) * _RANK_MARGIN * FLOAT_RANK_RTOL <= 1:
+            return False
+    return 0 < a * x
 
 
 def cond1(h: MatrixHandle) -> float:
@@ -793,9 +826,8 @@ def cond1(h: MatrixHandle) -> float:
         )
     twin = _float_twin(h)
     dense = materialize(twin)
-    fn = twin.record.inverse_fn
     try:
-        inv = None if fn is None else fn(twin)
+        inv = _closed_inverse(twin)
         norm_inv = inf if inv is None else _norm1(as_dense(inv))
         if not 0 < norm_inv < inf:  # lost entries (see _closed_solve), or NaN
             norm_inv = _norm1(inverse_dense(dense))
@@ -859,16 +891,10 @@ def matmul_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def max_abs_identity_residual(d: DenseMatrix) -> float:
-    """max |d_ij - delta_ij| as float (exact zeros stay exact for rationals)."""
-    worst = 0.0
-    for j in range(1, d.cols + 1):
-        for i in range(1, d.rows + 1):
-            v = d.get(i, j)
-            target = 1 if i == j else 0
-            diff = abs(float(v) - target)
-            if diff > worst:
-                worst = diff
-    return worst
+    """max |d_ij - delta_ij| as float; NaN if a difference is NaN, so no tolerance passes it."""
+    m = d.rows
+    diffs = [abs(float(v) - (k % m == k // m)) for k, v in enumerate(d.data)]
+    return nan if any(map(isnan, diffs)) else max(diffs, default=0.0)
 
 
 def is_exact_identity(d: DenseMatrix) -> bool:

@@ -470,6 +470,8 @@ def _check_illcond(ctx) -> AuditFinding:
         return AuditFinding("illcond", NOT_CHECKABLE, f"advisory: {c}")
     if c > ILLCOND_THRESHOLD:
         return AuditFinding("illcond", PASS, f"advisory: cond1 = {c:.3e}")
+    if c != c:
+        return AuditFinding("illcond", NOT_CHECKABLE, "advisory: cond1 is undefined (NaN)")
     return AuditFinding(
         "illcond", NOT_CHECKABLE, f"advisory: cond1 = {c:.3e} below {ILLCOND_THRESHOLD:.0e}"
     )

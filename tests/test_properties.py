@@ -516,3 +516,35 @@ def test_float_product_checks_refuse_entries_whose_squares_overflow(tag):
     (report,) = audit("hugediagonal", [2])
     (finding,) = report.findings
     assert finding.verdict == "skipped" and "leave the float range" in finding.note
+
+
+# -- NaN never passes a numeric check ----------------------------------------------
+
+
+def test_a_nan_inverse_residual_fails_the_inverse_check():
+    # forsythe(1) = [inf], whose closed inverse is [0]: A * inv(A) = [nan]
+    (report,) = audit("forsythe", [1], {"alpha": math.inf})
+    (finding,) = [f for f in report.findings if f.tag == "inverse"]
+    assert (finding.verdict, finding.note) == ("fail", "max |A*inv(A) - I| = nan")
+
+
+@pytest.mark.parametrize("tag", ["orthogonal", "involutory"])
+def test_a_nan_residual_fails_the_orthogonal_and_involutory_checks(tag):
+    # the identity with a NaN last entry: A'A and AA are the identity wherever no NaN enters
+    register_family(
+        FamilyDescriptor(id="nanidentity", params=(ParamSpec("n", "dim"),), default_scalar_kind=tmat.FLOAT64,
+                         tags=(tag,)),
+        lambda p, i, j, k: math.nan if i == j == p["n"] else float(i == j),
+    )
+    for n in (1, 2, 3):
+        h = construct("nanidentity", n=n)
+        assert _BOOL_CHECKERS[tag](_AuditContext(h, materialize(h))) is False
+        (report,) = audit("nanidentity", [n])
+        assert [(f.tag, f.verdict) for f in report.findings] == [(tag, "not-checkable")]
+
+
+def test_a_nan_condition_number_is_undefined_not_below_the_threshold():
+    # forsythe(1) = [inf]: ||A||_1 ||A^-1||_1 = inf * 0
+    (report,) = audit("forsythe", [1], {"alpha": math.inf})
+    (finding,) = [f for f in report.findings if f.tag == "illcond"]
+    assert (finding.verdict, finding.note) == ("not-checkable", "advisory: cond1 is undefined (NaN)")

@@ -23,11 +23,6 @@ from .families import FamilyDescriptor, ParamSpec, _set_builtin_ids, construct, 
 from .scalars import FLOAT64, RATIONAL64, Rational64, exact, from_exact, from_int, one, ratio, zero
 
 
-def _dense_from_fn(n, kind, fn):
-    data = [fn(i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
-    return DenseMatrix(n, n, data, kind)
-
-
 def _symmetric_tridiagonal(kind, diag, off):
     """Dense symmetric tridiagonal matrix from its diagonal and off-diagonal."""
     n = len(diag)
@@ -333,7 +328,8 @@ def _pei_eigvals(h):
 
 
 def _pei_inverse(h):
-    # (1/alpha)(I - J/(alpha+n)), defined iff alpha not in {0, -n}
+    # (1/alpha)(I - J/(alpha+n)), defined iff alpha not in {0, -n}. Where alpha (alpha + n)
+    # overflows, numerators and denominators are scaled by 1/alpha
     n = h.rows
     a = h.params["alpha"]
     kind = h.scalar_kind
@@ -341,9 +337,11 @@ def _pei_inverse(h):
         return None  # [alpha + 1]; the formula divides by alpha, use the fallback
     if a == 0 or a == -n:
         raise SingularMatrixError(f"pei inverse is undefined for alpha in {{0, -{n}}}")
-    off = -(one(kind) / (a * (a + n)))
-    diag = (a + n - one(kind)) / (a * (a + n))
-    return _dense_from_fn(n, kind, lambda i, j: diag if i == j else off)
+    s = one(kind) if isfinite(a * (a + n)) or not isfinite(a) else one(kind) / a
+    den = a * s * (a + n)
+    data = [-(s / den)] * (n * n)
+    data[::n + 1] = [(a + n - one(kind)) * s / den] * n
+    return DenseMatrix(n, n, data, kind)
 
 
 def _pei_posdef(h):
@@ -435,7 +433,8 @@ _KMS_PREDICATES = {
 
 def _kms_inverse(h):
     # tridiagonal: corners 1/(1-rho^2), interior diag (1+rho^2)/(1-rho^2),
-    # off-diagonals -rho/(1-rho^2); defined iff rho^2 != 1
+    # off-diagonals -rho/(1-rho^2); defined iff rho^2 != 1. Where rho^2 overflows,
+    # numerators and denominators are scaled by 1/rho: -rho/(1-rho^2) = 1/(rho - 1/rho)
     n = h.rows
     rho = h.params["rho"]
     kind = h.scalar_kind
@@ -444,11 +443,12 @@ def _kms_inverse(h):
     rho2 = rho * rho
     if rho2 == 1:
         raise SingularMatrixError("kms with rho^2 = 1 is singular")
-    denom = one(kind) - rho2
-    corner = one(kind) / denom
-    interior = (one(kind) + rho2) / denom
+    s = one(kind) if isfinite(rho2) or not isfinite(rho) else one(kind) / rho
+    denom = s - rho * s * rho
+    corner = s / denom
+    interior = (s + rho * s * rho) / denom
     diag = [corner if i in (1, n) else interior for i in range(1, n + 1)]
-    return _symmetric_tridiagonal(kind, diag, [-(rho / denom)] * (n - 1))
+    return _symmetric_tridiagonal(kind, diag, [-(rho * s / denom)] * (n - 1))
 
 
 # -- moler --------------------------------------------------------------------
@@ -525,15 +525,9 @@ def _forsythe_inverse(h):
     inv_alpha = one(kind) / alpha
     if not isfinite(inv_alpha):
         return None  # a subnormal or NaN alpha: LU answers, as it does for solve
-
-    def entry(i, j):
-        if i == 1 and j == n:
-            return inv_alpha
-        if n > 1 and i == j + 1:
-            return one(kind)
-        return zero(kind)
-
-    return _dense_from_fn(n, kind, entry)
+    data = [zero(kind)] * (n * n - n) + [inv_alpha] * min(n, 1) + [zero(kind)] * (n - 1)
+    data[1::n + 1] = [one(kind)] * (n - 1)  # the subdiagonal; inv_alpha is the (1, n) corner
+    return DenseMatrix(n, n, data, kind)
 
 
 # -- jordbloc -------------------------------------------------------------------

@@ -10,6 +10,7 @@ column-major materialization target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import hypot
 from typing import Any
 
@@ -50,10 +51,8 @@ class DenseMatrix:
 
     @classmethod
     def from_rows(cls, row_lists: list[list], scalar_kind: str) -> "DenseMatrix":
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        data = [row_lists[i][j] for j in range(cols) for i in range(rows)]
-        return cls(rows, cols, data, scalar_kind)
+        cols = len(row_lists[0]) if row_lists else 0
+        return cls(len(row_lists), cols, list(chain.from_iterable(zip(*row_lists))), scalar_kind)
 
     def get(self, i: int, j: int):
         """1-based entry access."""
@@ -64,8 +63,9 @@ class DenseMatrix:
         return self.data[(j - 1) * self.rows + (i - 1)]
 
     def to_rows(self) -> list[list]:
-        r, c, d = self.rows, self.cols, self.data
-        return [[d[j * r + i] for j in range(c)] for i in range(r)]
+        """Fresh row lists, each a strided slice of the column-major data."""
+        r, d = self.rows, self.data
+        return [d[i::r] for i in range(r)]
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -7,8 +7,9 @@ rational64, LU with thresholded partial pivoting in float64. A closed inverse
 X also answers solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank
 wherever ||X||_F proves that every LU pivot clears the rank bound. The float LU
 works only inside the band it measures from the rows, so it costs
-O(n * p * (p + q)) for lower and upper bandwidths p and q, and its triangular
-solves skip the zeros of L and U.
+O(n * p * (p + q)) for lower and upper bandwidths p and q. Its triangular
+solves skip the zeros of L left of the band and read only the nonzeros of U,
+which are recorded row by row after factoring.
 Symmetric spectra come from implicit QL (tql1), preceded by Householder
 reduction to tridiagonal form (tred1) unless the matrix is tridiagonal
 already. Cyclic Jacobi is no route of eigvals; the audit checks correlation
@@ -261,10 +262,9 @@ def det_dense(d: DenseMatrix):
     return -det if sign < 0 else det
 
 
-def _substitute(lu, y, starts, ends, top=0):
+def _substitute(lu, y, starts, right, top=0):
     """Solve L U x = y in place: forward over rows top.. of L, each from column
-    max(starts[i], top), then back over the columns of row i of U before
-    ends[i]."""
+    max(starts[i], top), then back over the columns right[i] of row i of U."""
     n = len(lu)
     for i in range(top, n):
         row = lu[i]
@@ -275,7 +275,7 @@ def _substitute(lu, y, starts, ends, top=0):
     for i in range(n - 1, -1, -1):
         row = lu[i]
         acc = y[i]
-        for k in range(i + 1, ends[i]):
+        for k in right[i]:
             acc = acc - row[k] * y[k]
         y[i] = acc / row[i]
     return y
@@ -285,16 +285,17 @@ def _lu_solve_one(lu, perm, band, b, top=0):
     """x with A x = b from _factor_or_raise's output, b[perm[i]] being zero
     for i < top.
 
-    The loops skip the zeros of L and U that band = (starts, ends) marks,
-    and the entries of L that meet the zeros of y above row top. The terms
-    left out are 0 * y_k, so while every y_k is finite the result is that of
-    the dense loops. Otherwise the dense loops run, as their 0 * inf terms
-    give NaN.
+    band = (starts, right): the forward loops skip the zeros of L left of
+    starts and the entries of L that meet the zeros of y above row top, the
+    back loops read only the columns right[i] where row i of U is nonzero.
+    The terms left out are 0 * y_k, so while every y_k is finite the result
+    is that of the dense loops. Otherwise the dense loops run, as their
+    0 * inf terms give NaN.
     """
     y = _substitute(lu, [b[k] for k in perm], *band, top)
     if not all(map(isfinite, y)):
         n = len(lu)
-        y = _substitute(lu, [b[k] for k in perm], [0] * n, [n] * n)
+        y = _substitute(lu, [b[k] for k in perm], [0] * n, [range(i + 1, n) for i in range(n)])
     return y
 
 
@@ -310,10 +311,10 @@ def _factor_or_raise(d: DenseMatrix):
         )
     # row i of L is zero left of the first nonzero of input row perm[i], as a
     # multiplier is only stored where the row was nonzero; row i of U is zero
-    # right of column i + width
+    # right of column i + width, and its nonzeros up to there are listed
     n = len(lu)
-    band = ([firsts[k] for k in perm], [min(n, i + width + 1) for i in range(n)])
-    return lu, perm, band
+    right = [list(compress(range(i + 1, n), row[i + 1:i + width + 1])) for i, row in enumerate(lu)]
+    return lu, perm, ([firsts[k] for k in perm], right)
 
 
 def solve_dense(d: DenseMatrix, rhs: list) -> list:
@@ -759,8 +760,8 @@ def solve(h: MatrixHandle, rhs: list) -> list:
 def _closed_solve(h: MatrixHandle, b: list):
     """X b from the rows of the closed inverse X (rational rows scaled to
     integers, as in matmul_dense), or None: no X, an X that overflows, or in
-    float64 a non-finite x or a zero row of X, which no inverse has (pei and
-    kms lose every entry to a square beyond the float range)."""
+    float64 a non-finite x or a zero row of X, which no inverse has (forsythe
+    at alpha = +-inf loses its corner 1/alpha)."""
     n = h.rows
     try:
         inv = _closed_inverse(h)
@@ -813,7 +814,8 @@ def _certifies_full_rank(h: MatrixHandle, d: DenseMatrix) -> bool:
 def cond1(h: MatrixHandle) -> float:
     """1-norm condition number ||A||_1 ||A^-1||_1 of the float64 twin, ||A^-1||_1
     from its closed inverse in O(n^2) where that norm is positive and finite,
-    else from the LU inverse. Singular matrices yield +inf. The dimension is
+    else from the LU inverse. A matrix that LU finds singular yields +inf,
+    or NaN where ||A||_1 is NaN, as a NaN entry makes it. The dimension is
     capped at COND1_DIM_BOUND: explicit inversion is for desk-scale diagnostics.
     """
     _require_square(h, "cond1")
@@ -826,22 +828,24 @@ def cond1(h: MatrixHandle) -> float:
         )
     twin = _float_twin(h)
     dense = materialize(twin)
+    norm = _norm1(dense)
     try:
         inv = _closed_inverse(twin)
         norm_inv = inf if inv is None else _norm1(as_dense(inv))
         if not 0 < norm_inv < inf:  # lost entries (see _closed_solve), or NaN
             norm_inv = _norm1(inverse_dense(dense))
     except SingularMatrixError:
-        return inf
-    return _norm1(dense) * norm_inv
+        return nan if isnan(norm) else inf
+    return norm * norm_inv
 
 
 def _norm1(d: DenseMatrix) -> float:
     """Largest column sum of magnitudes, each reduced as _sum reduces: fsum,
-    correctly rounded, and inf for a sum beyond the float range."""
+    correctly rounded, and inf for a sum beyond the float range; NaN if a sum is."""
     m, data = d.rows, d.data
-    cols = (data[j * m:(j + 1) * m] for j in range(d.cols))
-    return max((_sum(FLOAT64, lambda c=c: map(abs, c), "cond1") for c in cols), default=0.0)
+    cols = [data[j * m:(j + 1) * m] for j in range(d.cols)]
+    sums = [_sum(FLOAT64, lambda c=c: map(abs, c), "cond1") for c in cols]
+    return nan if any(map(isnan, sums)) else max(sums, default=0.0)
 
 
 def spectral_moduli(h: MatrixHandle, rel_tol: float = 1e-9) -> list[tuple[float, int]]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tmat import FLOAT64, construct, materialize
 from tmat import linalg
 from tmat.core import DenseMatrix
-from tmat.linalg import _bandwidths, _lu_factor, det_dense, inverse_dense, rank_dense, solve_dense
+from tmat.linalg import _bandwidths, _factor_or_raise, _lu_factor, det_dense, inverse_dense, rank_dense, solve_dense
 
 # -- the dense reference kernel ----------------------------------------------------
 
@@ -222,3 +222,67 @@ def test_lu_stops_at_the_first_skipped_column_only_when_asked():
     rows = [[0.0, 1.0], [0.0, 2.0]]
     assert _lu_factor([r[:] for r in rows], 2, 0.0)[3:5] == (1, 0)
     assert _lu_factor([r[:] for r in rows], 2, 0.0, stop=True)[3:5] == (0, 0)
+
+
+# -- back substitution over U's nonzero pattern ---------------------------------------
+
+
+@st.composite
+def holed_systems(draw):
+    """(rows, n, rhs): a square banded matrix with exact zeros, -0.0 and
+    complex zeros planted on single entries inside its band, so that U has
+    zeros the band does not mark, and a right-hand side that may hold NaN,
+    inf or entries whose solution overflows."""
+    rows, n, _ = draw(banded_systems().filter(lambda s: len(s[0]) == s[1]))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from([0.0, -0.0, 0j, complex(-0.0, 0.0)]))
+    rhs = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+    return rows, n, [draw(rhs) for _ in range(n)]
+
+
+@settings(BAND, max_examples=150)
+@given(system=holed_systems())
+def test_pattern_solves_with_zeros_inside_the_band_equal_the_dense_kernel(system):
+    _assert_reference_outcomes(*system)
+
+
+def _hessenberg_with_a_dense_row(n, dense, entries):
+    """Upper Hessenberg: unit subdiagonal, row `dense` full, the rest zero, so
+    most of U is the zeros a band cannot see (companion is dense = 0)."""
+    rows = [[1.0 if i == j + 1 else 0.0 for j in range(n)] for i in range(n)]
+    rows[dense] = [entries[(dense + j) % len(entries)] for j in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_hessenberg_with_one_dense_row_equals_the_dense_kernel(n, where):
+    dense = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    for entries in ([1.0, -2.0, 0.5], [0.0, -0.0, 3.0, 1e-300], [2.0**1000, -3.0, 0.0, 1.5j]):
+        rows = _hessenberg_with_a_dense_row(n, dense, entries)
+        for rhs in ([1.0] * n, [float(k % 3 - 1) for k in range(n)], [math.nan] + [1.0] * (n - 1),
+                    [1.0] * (n - 1) + [math.inf], [-1e308] * n):
+            _assert_reference_outcomes(rows, n, rhs)
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [[1.0, math.nan, 2.0, 3.0], [math.inf, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -math.inf],
+     [1e308, 1e308, 1e308, 1e308], [1e308, -1e308, 1e308, -1e308], [0.0, -0.0, 0.0, -0.0]],
+)
+def test_non_finite_and_overflowing_right_hand_sides_equal_the_dense_kernel(rhs):
+    # U is the unit upper triangle with -0.0 and 0.0 holes: the pattern solve
+    # skips them, and the dense loops take over once a y_k is not finite
+    u = [[1.0, -0.0, 4.0, 0.0], [0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, -0.0], [0.0, 0.0, 0.0, 0.5]]
+    _assert_reference_outcomes(u, 4, rhs)
+    _assert_reference_outcomes(_hessenberg_with_a_dense_row(4, 0, [2.0, 0.0, -1.0]), 4, rhs)
+
+
+def test_companion_u_holds_at_most_two_entries_per_row():
+    n = 200
+    d = materialize(construct("companion", v=[float(k % 7 - 3) for k in range(1, n + 1)], scalar_kind=FLOAT64))
+    lu, _, (_, right) = _factor_or_raise(d)
+    assert sum(map(len, right)) <= 2 * n
+    for i, cols in enumerate(right):  # exactly the nonzeros right of the diagonal
+        assert cols == [k for k in range(i + 1, n) if lu[i][k]]

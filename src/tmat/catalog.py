@@ -19,7 +19,7 @@ from operator import truediv
 
 from .core import DenseMatrix
 from .errors import ParameterError, RationalOverflowError, SingularMatrixError, UnsupportedOperationError
-from .families import FamilyDescriptor, ParamSpec, _set_builtin_ids, construct, register_family
+from .families import FamilyDescriptor, ParamSpec, construct, register_family
 from .scalars import FLOAT64, RATIONAL64, Rational64, exact, from_exact, from_int, one, ratio, zero
 
 
@@ -356,8 +356,6 @@ _PEI_PREDICATES = {"symmetric": lambda h: True, "posdef": _pei_posdef}
 def _pei_det(h):
     n = h.rows
     kind = h.scalar_kind
-    if n == 0:
-        return one(kind)
     if kind == RATIONAL64:
         a = exact(h.params["alpha"])
         return from_exact(kind, a ** (n - 1) * (a + n), "determinant")
@@ -415,8 +413,6 @@ def _kms_column(params, j, kind):
 def _kms_det(h):
     n = h.rows
     kind = h.scalar_kind
-    if n == 0:
-        return one(kind)
     if kind == RATIONAL64:
         rho = exact(h.params["rho"])
         return from_exact(kind, (1 - rho * rho) ** (n - 1), "determinant")
@@ -547,8 +543,6 @@ def _jordbloc_eigvals(h):
 
 def _jordbloc_det(h):
     kind = h.scalar_kind
-    if h.rows == 0:
-        return one(kind)
     if kind == RATIONAL64:
         return from_exact(kind, exact(h.params["lambda"]) ** h.rows, "determinant")
     return _power(h.params["lambda"], h.rows)
@@ -584,8 +578,6 @@ def _lotkin_det(h):
     # H_n with row 1 set to ones: expanding along row 1, det = det(H_n) times
     # the sum of column 1 of inv(H_n), which is (-1)^(n+1) n
     n = h.rows
-    if n == 0:
-        return one(h.scalar_kind)
     value = Fraction((-1) ** (n + 1) * n, _inv_hilbert_det_int(n))
     return from_exact(h.scalar_kind, value, "determinant")
 
@@ -717,8 +709,6 @@ def _companion_dims(params):
 
 def _companion_det(h):
     n = h.rows
-    if n == 0:
-        return one(h.scalar_kind)
     v1 = h.params["v"][0]
     return -v1 if n % 2 else v1
 
@@ -959,7 +949,3 @@ def register_builtins() -> None:
         column_fn=_triw_column,
         det_fn=_unit_det,
     )
-
-    from .families import list_families
-
-    _set_builtin_ids(list_families())

@@ -52,6 +52,8 @@ class DenseMatrix:
     @classmethod
     def from_rows(cls, row_lists: list[list], scalar_kind: str) -> "DenseMatrix":
         cols = len(row_lists[0]) if row_lists else 0
+        if any(len(row) != cols for row in row_lists):
+            raise ParameterError(f"ragged rows: row lengths {sorted({len(r) for r in row_lists})}")
         return cls(len(row_lists), cols, list(chain.from_iterable(zip(*row_lists))), scalar_kind)
 
     def get(self, i: int, j: int):

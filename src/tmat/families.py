@@ -78,7 +78,6 @@ class FamilyRecord:
 
 _LOCK = threading.RLock()
 _FAMILIES: dict[str, FamilyRecord] = {}
-_BUILTIN_IDS: tuple[str, ...] = ()
 
 
 def _valid_tags():
@@ -169,10 +168,6 @@ def is_registered(family_id: str) -> bool:
 def list_families() -> list[str]:
     """All registered family ids, in registration order."""
     return list(_FAMILIES)
-
-
-def builtin_ids() -> tuple[str, ...]:
-    return _BUILTIN_IDS
 
 
 # -- parameter resolution -----------------------------------------------------
@@ -310,8 +305,3 @@ def _restore(snapshot):
     global _FAMILIES
     with _LOCK:
         _FAMILIES = dict(snapshot)
-
-
-def _set_builtin_ids(ids):
-    global _BUILTIN_IDS
-    _BUILTIN_IDS = tuple(ids)

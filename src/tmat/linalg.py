@@ -1,15 +1,19 @@
 """Dense linear-algebra fallbacks and the closed-form dispatch layer.
 
 Every operation prefers a family's registered closed-form routine and falls
-back to a generic algorithm on the materialized matrix for determinants,
-inverses, solves, and ranks: fraction-free integer elimination (Bareiss) in
-rational64, LU with thresholded partial pivoting in float64. A closed inverse
-X also answers solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank
-wherever ||X||_F proves that every LU pivot clears the rank bound. The float LU
-works only inside the band it measures from the rows, so it costs
-O(n * p * (p + q)) for lower and upper bandwidths p and q. Its triangular
-solves skip the zeros of L left of the band and read only the nonzeros of U,
-which are recorded row by row after factoring.
+back to a generic route. determinant, inverse, eigvals, solve and the three
+predicates are each one _first(h, routine, generic) call: it skips a routine
+that is not registered and one that declines by answering None, so any
+registered routine may decline. A 0x0 determinant is 1 before any route runs.
+Determinants, inverses, solves and ranks of the materialized matrix come from
+fraction-free integer elimination (Bareiss) in rational64, LU with
+thresholded partial pivoting in float64. A closed inverse X also answers
+solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank wherever ||X||_F
+proves that every LU pivot clears the rank bound. The float LU works only
+inside the band it measures from the rows, so it costs O(n * p * (p + q)) for
+lower and upper bandwidths p and q. Its triangular solves skip the zeros of L
+left of the band and read only the nonzeros of U, which are recorded row by
+row after factoring.
 Symmetric spectra come from implicit QL (tql1), preceded by Householder
 reduction to tridiagonal form (tred1) unless the matrix is tridiagonal
 already. Cyclic Jacobi is no route of eigvals; the audit checks correlation
@@ -33,7 +37,7 @@ from .errors import (
     TmatError,
     UnsupportedOperationError,
 )
-from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, zero
+from .scalars import FLOAT64, RATIONAL64, Rational64, from_exact, one, zero
 
 FLOAT_SINGULAR_RTOL = 1e-13  # pivot below this times ||A||_F is singular
 FLOAT_RANK_RTOL = 1e-10  # pivot at or below this times ||A||_F is zero
@@ -43,6 +47,7 @@ JACOBI_MAX_SWEEPS = 100
 JACOBI_RTOL = 1e-14  # converged once the off-diagonal norm is below this times ||A||_F
 QL_MAX_ITER = 30  # implicit QL iterations allowed per eigenvalue, as in EISPACK's tql1
 _EPS = float_info.epsilon
+_TINY = float_info.min  # QL's deflation floor: a subnormal coupling is negligible
 
 
 def as_dense(obj) -> DenseMatrix:
@@ -478,7 +483,7 @@ def _implicit_ql(parts: list[list[float]]) -> list[float]:
         for iteration in range(QL_MAX_ITER + 1):
             # the first negligible e[m] at or after l closes the block l..m
             m = l
-            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])) + _TINY:
                 m += 1
             if m == l:
                 break
@@ -611,37 +616,47 @@ def _float_rows(h: MatrixHandle) -> list[list[float]]:
 # -- dispatched public operations ----------------------------------------------
 
 
+def _first(h: MatrixHandle, *routes):
+    """The first answer other than None of route(h), the routes tried in order;
+    a route that is None (no routine registered) is skipped. None if every route
+    declines: a registered routine may always decline, the generic route never does."""
+    for route in routes:
+        if route is not None:
+            answer = route(h)
+            if answer is not None:
+                return answer
+    return None
+
+
 def determinant(h: MatrixHandle):
-    """Closed-form determinant when registered, else pivoted LU."""
+    """1 at order 0; else the closed-form determinant unless it declines, else pivoted LU."""
     _require_square(h, "determinant")
-    rec = h.record
-    if rec.det_fn is not None:
-        return rec.det_fn(h)
-    return det_dense(materialize(h))
+    if h.rows == 0:
+        return one(h.scalar_kind)
+    return _first(h, h.record.det_fn, lambda g: det_dense(materialize(g)))
 
 
 def inverse(h: MatrixHandle):
     """Closed-form inverse (lazy handle or structured dense) when registered,
     else dense LU inverse. Raises SingularMatrixError on singular input."""
     _require_square(h, "inverse")
-    result = _closed_inverse(h)
-    return inverse_dense(materialize(h)) if result is None else result
+    return _first(h, h.record.inverse_fn, lambda g: inverse_dense(materialize(g)))
 
 
 def _closed_inverse(h: MatrixHandle):
     """The family's closed inverse of h, or None: none registered, or it declines."""
-    fn = h.record.inverse_fn
-    return None if fn is None else fn(h)
+    return _first(h, h.record.inverse_fn)
 
 
 def eigvals(h: MatrixHandle):
-    """Sorted spectrum: closed form when registered; otherwise the matrix must
+    """Sorted spectrum: closed form unless it declines; otherwise the matrix must
     be symmetric, and its float rows go to implicit QL, through Householder
     tridiagonalization when they are not tridiagonal already."""
     _require_square(h, "eigvals")
-    rec = h.record
-    if rec.eigvals_fn is not None:
-        return rec.eigvals_fn(h)
+    return _first(h, h.record.eigvals_fn, _symmetric_eigvals)
+
+
+def _symmetric_eigvals(h: MatrixHandle) -> list[float]:
     if not is_symmetric(h):
         raise UnsupportedOperationError(
             f"eigvals of '{h.family}' has no closed form and the matrix is not "
@@ -673,8 +688,7 @@ def frobenius_norm(h: MatrixHandle) -> float:
 
 
 def _predicate(h: MatrixHandle, name: str):
-    fn = h.record.predicates.get(name)
-    return None if fn is None else fn(h)
+    return _first(h, h.record.predicates.get(name))
 
 
 def _band_symmetric(h: MatrixHandle) -> bool:
@@ -721,25 +735,20 @@ def _scan_diagonal(h: MatrixHandle) -> bool:
     return _scan(h, _band_diagonal)
 
 
+def _scan_posdef(h: MatrixHandle) -> bool:
+    return is_symmetric(h) and _scan(h, lambda g: dense_is_posdef(materialize(g)))
+
+
 def is_symmetric(h: MatrixHandle) -> bool:
-    fast = _predicate(h, "symmetric")
-    if fast is not None:
-        return fast
-    return _scan_symmetric(h)
+    return _first(h, h.record.predicates.get("symmetric"), _scan_symmetric)
 
 
 def is_diagonal(h: MatrixHandle) -> bool:
-    fast = _predicate(h, "diagonal")
-    if fast is not None:
-        return fast
-    return _scan_diagonal(h)
+    return _first(h, h.record.predicates.get("diagonal"), _scan_diagonal)
 
 
 def is_posdef(h: MatrixHandle) -> bool:
-    fast = _predicate(h, "posdef")
-    if fast is not None:
-        return fast
-    return is_symmetric(h) and _scan(h, lambda g: dense_is_posdef(materialize(g)))
+    return _first(h, h.record.predicates.get("posdef"), _scan_posdef)
 
 
 def solve(h: MatrixHandle, rhs: list) -> list:
@@ -753,8 +762,7 @@ def solve(h: MatrixHandle, rhs: list) -> list:
         rhs = [Rational64.from_number(v) if not isinstance(v, Rational64) else v for v in rhs]
     else:
         rhs = [float(v) for v in rhs]
-    x = _closed_solve(h, rhs)
-    return solve_dense(materialize(h), rhs) if x is None else x
+    return _first(h, lambda g: _closed_solve(g, rhs), lambda g: solve_dense(materialize(g), rhs))
 
 
 def _closed_solve(h: MatrixHandle, b: list):

@@ -441,9 +441,12 @@ def _check_eigen_tag(ctx) -> AuditFinding:
     if h.record.eigvals_fn is None:
         return AuditFinding("eigen", NOT_CHECKABLE, "no closed-form spectrum registered")
     try:
-        closed = [complex(z) for z in h.record.eigvals_fn(h)]
+        closed = h.record.eigvals_fn(h)
     except TmatError as exc:
         return AuditFinding("eigen", SKIPPED, str(exc))
+    if closed is None:
+        return AuditFinding("eigen", NOT_CHECKABLE, "the closed-form spectrum declines")
+    closed = [complex(z) for z in closed]
     c, n = ctx.charpoly, h.rows
     if c is None:
         return AuditFinding("eigen", NOT_CHECKABLE, "an entry is not a finite real")
@@ -531,13 +534,14 @@ def _outcome(fn):
 def _check_det_fn(ctx) -> tuple[AuditFinding, ...]:
     """A failing finding if a registered det_fn disagrees with det_dense:
     exactly in rational64, where refusing on both sides is agreement; in
-    float64 within AUDIT_TOL * cond1 relative, as LU's error grows with cond1."""
+    float64 within AUDIT_TOL * cond1 relative, as LU's error grows with cond1.
+    A det_fn answering None defers to det_dense; none is called at order 0."""
     h = ctx.handle
-    if h.record.det_fn is None or h.rows != h.cols:
+    if h.record.det_fn is None or h.rows != h.cols or not h.rows:
         return ()
     closed = _outcome(lambda: h.record.det_fn(h))
     generic = _outcome(lambda: det_dense(ctx.dense))
-    if closed == generic:
+    if closed is None or closed == generic:
         return ()
     if isinstance(closed, float) and isinstance(generic, float):
         c = ctx.condition

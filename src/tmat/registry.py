@@ -25,9 +25,10 @@ _GROUPS: dict[str, list[str]] = {"user": [], "builtin": []}
 
 
 def _sync_builtin() -> None:
-    """Pin the builtin group to the registered catalog (called at import)."""
+    """Pin the builtin group to the families registered so far: the catalog,
+    as tmat calls this at import before any other family can register."""
     with _LOCK:
-        _GROUPS["builtin"] = list(families.builtin_ids())
+        _GROUPS["builtin"] = families.list_families()
 
 
 def _require_group(name: str) -> list[str]:

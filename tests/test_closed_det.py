@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import tmat
 from oracles import cofactor_det, frac_rows
-from tmat import FLOAT64, RATIONAL64, construct, determinant
+from tmat import FLOAT64, RATIONAL64, construct, determinant, materialize
 from tmat.catalog import _inv_hilbert_det_int
-from tmat.linalg import _bareiss
-from tmat.scalars import from_exact
+from tmat.linalg import _bareiss, det_dense
+from tmat.scalars import from_exact, one
 
 EXACT = settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -178,3 +178,32 @@ def test_closed_det_refusals_are_pinned(family, n, value):
     with pytest.raises(tmat.RationalOverflowError) as info:
         determinant(h)
     assert str(info.value) == f"determinant: rational value with a {value} {_TOO_BIG}"
+
+
+# -- order 0: the empty product, before any closed routine ---------------------------
+
+
+def _empty_instances():
+    """(family, kind) for every builtin that constructs at n = 0 in that kind."""
+    for family in tmat.list_families():
+        for kind in (RATIONAL64, FLOAT64):
+            try:
+                construct(family, n=0, scalar_kind=kind)
+            except tmat.ParameterError:  # forsythe's default alpha is no rational64
+                continue
+            yield family, kind
+
+
+@pytest.mark.parametrize("family, kind", list(_empty_instances()))
+def test_the_empty_determinant_is_one_without_calling_det_fn(family, kind, monkeypatch):
+    h = construct(family, n=0, scalar_kind=kind)
+    monkeypatch.setattr(h.record, "det_fn", lambda h: pytest.fail("det_fn called at order 0"))
+    det = determinant(h)
+    assert det == one(kind) == det_dense(materialize(h))
+    assert type(det) is type(one(kind))
+
+
+@pytest.mark.parametrize("family, params", [("lotkin", {"n": 0}), ("companion", {"v": ()})])
+def test_the_audit_calls_no_det_fn_at_order_0(family, params):
+    (report,) = tmat.audit(family, [2], params=params)
+    assert "det_fn" not in {f.tag for f in report.findings}

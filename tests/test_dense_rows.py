@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tmat import FLOAT64, RATIONAL64, Rational64
+from tmat import FLOAT64, RATIONAL64, ParameterError, Rational64
 from tmat.core import DenseMatrix
 
 VALUES = {
@@ -42,3 +42,11 @@ def test_rows_are_fresh_lists():
     assert d.data == before
     assert d.to_rows() != rows
 
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0, 7.0]]]
+)
+def test_rows_of_unequal_length_are_refused(rows):
+    with pytest.raises(ParameterError, match="ragged rows"):
+        DenseMatrix.from_rows(rows, FLOAT64)

@@ -15,6 +15,7 @@ import tmat
 from tmat import (
     ConvergenceError,
     FamilyDescriptor,
+    ParamSpec,
     Rational64,
     RationalOverflowError,
     SingularMatrixError,
@@ -57,7 +58,7 @@ from tmat.linalg import (
     rank_dense,
     solve_dense,
 )
-from tmat.scalars import INT64_MAX, INT64_MIN
+from tmat.scalars import INT64_MAX, INT64_MIN, from_int
 
 from oracles import (
     cofactor_det,
@@ -693,6 +694,23 @@ def test_ql_small_and_overflowing_spectra():
     assert high == math.inf and abs(low) <= 1e-10 * 1e308
 
 
+@pytest.mark.parametrize(
+    "diag, sub, want, tol",
+    [
+        # a subnormal coupling all but splits the matrix into two 2x2 blocks
+        ([0.0] * 4, [8.0, 2.2250738585e-313, 1.0], [-8.0, -1.0, 1.0, 8.0], 1e-14),
+        # scaled by 2**-997, each 1e-10 is subnormal; the exact small eigenvalues are 0 and
+        # +-sqrt(2) * 1e-10
+        ([1e300, 0.0, 0.0, 0.0], [1e-10] * 3, [0.0, 0.0, 0.0, 1e300], 2e-10),
+    ],
+)
+def test_ql_deflates_subnormal_couplings(diag, sub, want, tol):
+    rows = _tridiagonal_rows(diag, sub)
+    vals = ql_eigvals(diag, sub)
+    assert vals == pytest.approx(want, rel=1e-15, abs=tol)
+    assert _agrees_with_jacobi(vals, jacobi_eigvals(rows), rows)
+
+
 def _user_tridiagonal(diag):
     n = len(diag)
     register_family(
@@ -971,3 +989,50 @@ def test_charpoly_constant_term_is_the_signed_bareiss_determinant(family):
         if len(rows) != len(rows[0]):
             continue
         assert _charpoly(rows)[0] == (-1) ** len(rows) * _bareiss(rows, len(rows))[3], (family, n)
+
+
+# -- a registered routine may decline with None -------------------------------------
+
+
+def _decline(h):
+    return None
+
+
+def _second_difference(fid, kind, tags=(), **routines):
+    """tridiag(-1, 2, -1) of order n, registered as fid with the given routines; its n = 5 handle."""
+    register_family(
+        FamilyDescriptor(id=fid, params=(ParamSpec("n", "dim"),), default_scalar_kind=kind, tags=tags),
+        lambda p, i, j, k: from_int(k, 2 if i == j else -(abs(i - j) == 1)),
+        **routines,
+    )
+    return construct(fid, n=5)
+
+
+@pytest.mark.parametrize("kind", [tmat.FLOAT64, tmat.RATIONAL64])
+@pytest.mark.parametrize(
+    "op, routines",
+    [
+        (determinant, {"det_fn": _decline}),
+        (eigvals, {"eigvals_fn": _decline}),
+        (inverse, {"inverse_fn": _decline}),
+        (lambda h: solve(h, [1, 2, 3, 4, 5]), {"inverse_fn": _decline}),
+        (is_symmetric, {"predicates": {"symmetric": _decline}}),
+        (is_diagonal, {"predicates": {"diagonal": _decline}}),
+        (is_posdef, {"predicates": {"posdef": _decline}}),
+    ],
+    ids=["determinant", "eigvals", "inverse", "solve", "is_symmetric", "is_diagonal", "is_posdef"],
+)
+def test_a_routine_answering_none_gets_the_generic_answer(op, routines, kind):
+    want = op(_second_difference("plain", kind))
+    assert want is not None
+    assert op(_second_difference("declining", kind, **routines)) == want
+
+
+def test_the_audit_defers_where_a_routine_declines():
+    _second_difference(
+        "declining", tmat.RATIONAL64, ("symmetric", "posdef", "eigen"),
+        det_fn=_decline, eigvals_fn=_decline, predicates={"symmetric": _decline},
+    )
+    (report,) = tmat.audit("declining", [4])
+    verdicts = {f.tag: f.verdict for f in report.findings}
+    assert verdicts == {"symmetric": "pass", "posdef": "pass", "eigen": "not-checkable"}

@@ -26,7 +26,14 @@ def test_fresh_state_groups():
 
 
 def test_builtin_content_and_immutability():
-    assert list_matrices(["builtin"]) == list(BUILTIN)
+    assert tmat.registry._snapshot()["builtin"] == tmat.list_families() == list(BUILTIN)
+    tmat.register_family(  # a family registered after import stays out of the builtin group
+        tmat.FamilyDescriptor(id="extra", params=(), default_scalar_kind=tmat.FLOAT64, tags=()),
+        lambda p, i, j, k: 0.0,
+        dims_fn=lambda p: (1, 1),
+    )
+    assert tmat.list_families() == list(BUILTIN) + ["extra"]
+    assert tmat.registry._snapshot()["builtin"] == list_matrices(["builtin"]) == list(BUILTIN)
     with pytest.raises(GroupError):
         add_to_groups("minij", "builtin")
     with pytest.raises(GroupError):

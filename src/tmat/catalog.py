@@ -324,7 +324,7 @@ def _pei_element(params, i, j, kind):
 def _pei_eigvals(h):
     n = h.rows
     a = float(h.params["alpha"])
-    return sorted([a] * (n - 1) + [a + n])
+    return sorted([a] * (n - 1) + [a + n]) if n else []
 
 
 def _pei_inverse(h):
@@ -333,8 +333,8 @@ def _pei_inverse(h):
     n = h.rows
     a = h.params["alpha"]
     kind = h.scalar_kind
-    if n == 1:
-        return None  # [alpha + 1]; the formula divides by alpha, use the fallback
+    if n < 2:
+        return None  # [] or [alpha + 1]; the formula divides by alpha (alpha + n), use the fallback
     if a == 0 or a == -n:
         raise SingularMatrixError(f"pei inverse is undefined for alpha in {{0, -{n}}}")
     s = one(kind) if isfinite(a * (a + n)) or not isfinite(a) else one(kind) / a

@@ -7,13 +7,14 @@ that is not registered and one that declines by answering None, so any
 registered routine may decline. A 0x0 determinant is 1 before any route runs.
 Determinants, inverses, solves and ranks of the materialized matrix come from
 fraction-free integer elimination (Bareiss) in rational64, LU with
-thresholded partial pivoting in float64. A closed inverse X also answers
-solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank wherever ||X||_F
-proves that every LU pivot clears the rank bound. The float LU works only
-inside the band it measures from the rows, so it costs O(n * p * (p + q)) for
-lower and upper bandwidths p and q. Its triangular solves skip the zeros of L
-left of the band and read only the nonzeros of U, which are recorded row by
-row after factoring.
+thresholded partial pivoting in float64; positive definiteness from one pass
+of the same kernel with leading=True, without row exchanges. A closed inverse
+X also answers solve, as X b, the ||A^-1||_1 of cond1, and a float64 rank
+wherever ||X||_F proves that every LU pivot clears the rank bound. The float
+LU works only inside the band it measures from the rows, so it costs
+O(n * p * (p + q)) for lower and upper bandwidths p and q. Its triangular
+solves skip the zeros of L left of the band and read only the nonzeros of U,
+which are recorded row by row after factoring.
 Symmetric spectra come from implicit QL (tql1), preceded by Householder
 reduction to tridiagonal form (tred1) unless the matrix is tridiagonal
 already. Cyclic Jacobi is no route of eigvals; the audit checks correlation
@@ -189,7 +190,7 @@ def _bandwidths(rows: list[list], firsts: bool = True):
     return firsts, p, q
 
 
-def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop: bool = False, firsts: bool = False):
+def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop=False, firsts=False, leading=False):
     """In-place LU with partial pivoting of float (or complex) rows, limited
     to their band.
 
@@ -212,6 +213,9 @@ def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop: bool = False, 
     or None, and band = (firsts, p + q), firsts[i] being the first nonzero
     column of input row i (possibly None unless asked for). With stop, the
     elimination ends at the first skipped column, for callers needing full rank.
+    leading=True takes no pivot below row r, so no rows are exchanged and
+    pivot k is the leading principal minor of order k + 1 over that of order
+    k: for a symmetric matrix, the squared diagonal of Cholesky's factor.
     """
     a = rows
     m = len(a)
@@ -223,7 +227,7 @@ def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop: bool = False, 
             break
         below = min(m, c + p + 1)
         best, best_mag = r, abs(a[r][c])
-        for i in range(r + 1, below):
+        for i in range(r + 1, r + 1 if leading else below):
             mag = abs(a[i][c])
             if mag > best_mag:
                 best, best_mag = i, mag
@@ -520,22 +524,6 @@ def _implicit_ql(parts: list[list[float]]) -> list[float]:
     return d
 
 
-def _cholesky_ok(rows: list[list[float]]) -> bool:
-    n = len(rows)
-    low = [[0.0] * n for _ in range(n)]
-    try:
-        for j in range(n):
-            s = rows[j][j] - fsum(low[j][k] ** 2 for k in range(j))
-            if not 0.0 < s < inf:  # a NaN or infinite pivot fails too
-                return False
-            low[j][j] = sqrt(s)
-            for i in range(j + 1, n):
-                low[i][j] = (rows[i][j] - fsum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
-    except (OverflowError, ValueError):  # |l_ij| <= sqrt(a_ii) when A is positive definite
-        return False
-    return True
-
-
 # -- dense scans (also the slow side of the lazy-vs-dense benchmarks) ----------
 
 
@@ -554,15 +542,16 @@ def dense_is_symmetric(d: DenseMatrix) -> bool:
 
 
 def dense_is_posdef(d: DenseMatrix) -> bool:
-    """Symmetric and positive definite. In rational64 every leading principal
-    minor is positive, read off one fraction-free pass without row exchanges
-    (pivot k is the minor of order k + 1); in float64 Cholesky succeeds."""
+    """Symmetric with every leading principal minor positive (Sylvester): one
+    pass of the kind's elimination kernel without row exchanges, leading=True,
+    and every pivot positive and finite."""
     if not dense_is_symmetric(d):
         return False
     if d.scalar_kind == RATIONAL64:
         a, rank, _, _ = _bareiss(d.to_rows(), d.cols, leading=True)
-        return rank == d.rows and all(a[k][k] > 0 for k in range(rank))
-    return _cholesky_ok(d.to_rows())
+    else:
+        a, _, _, rank, _, _ = _lu_factor(d.to_rows(), d.cols, 0.0, stop=True, leading=True)
+    return rank == d.rows and all(0 < a[k][k] < inf for k in range(rank))
 
 
 def dense_is_diagonal(d: DenseMatrix) -> bool:

@@ -20,9 +20,10 @@ from tmat.linalg import _bandwidths, _factor_or_raise, _lu_factor, det_dense, in
 # -- the dense reference kernel ----------------------------------------------------
 
 
-def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False):
-    # stop and firsts only spare work, so the reference ignores them: it
-    # eliminates every column and returns the band of a dense matrix
+def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False, leading=False):
+    # firsts only spares work, so the reference ignores it: it eliminates
+    # every column (up to the first skipped one with stop) and returns the
+    # band of a dense matrix
     a = rows
     m = len(a)
     perm = list(range(m))
@@ -31,13 +32,15 @@ def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False):
         if r == m:
             break
         best, best_mag = r, abs(a[r][c])
-        for i in range(r + 1, m):
+        for i in range(r + 1, r + 1 if leading else m):
             mag = abs(a[i][c])
             if mag > best_mag:
                 best, best_mag = i, mag
         if not best_mag > tol:
             if skipped is None:
                 skipped = c
+            if stop:
+                break
             continue
         if best != r:
             a[r], a[best] = a[best], a[r]
@@ -216,6 +219,16 @@ def test_bandwidths_without_firsts_take_a_full_band_from_the_bottom_left_corner(
     assert _bandwidths(rows[:2], firsts=False)[1:] == (0, 1)
     assert _bandwidths([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], firsts=False)[1:] == (1, 0)
     assert _bandwidths([], firsts=False)[1:] == (0, 0)
+
+
+@settings(BAND, max_examples=50)
+@given(system=banded_systems(), stop=st.booleans())
+def test_the_leading_pivot_pass_equals_the_dense_kernel(system, stop):
+    # without row exchanges the fill stays inside the band, NaN and inf included
+    rows, n, _ = system
+    got = _lu_factor([r[:] for r in rows], n, 0.0, stop=stop, leading=True)
+    want = _dense_lu_factor([r[:] for r in rows], n, 0.0, stop=stop, leading=True)
+    assert _same(got[:5], want[:5]), (got, want)
 
 
 def test_lu_stops_at_the_first_skipped_column_only_when_asked():

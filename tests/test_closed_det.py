@@ -180,7 +180,7 @@ def test_closed_det_refusals_are_pinned(family, n, value):
     assert str(info.value) == f"determinant: rational value with a {value} {_TOO_BIG}"
 
 
-# -- order 0: the empty product, before any closed routine ---------------------------
+# -- order 0: the empty product before any closed routine, the empty spectrum -------
 
 
 def _empty_instances():
@@ -203,7 +203,23 @@ def test_the_empty_determinant_is_one_without_calling_det_fn(family, kind, monke
     assert type(det) is type(one(kind))
 
 
+@pytest.mark.parametrize("family, kind", list(_empty_instances()))
+def test_the_empty_spectrum_is_empty(family, kind):
+    assert tmat.eigvals(construct(family, n=0, scalar_kind=kind)) == []
+
+
 @pytest.mark.parametrize("family, params", [("lotkin", {"n": 0}), ("companion", {"v": ()})])
 def test_the_audit_calls_no_det_fn_at_order_0(family, params):
     (report,) = tmat.audit(family, [2], params=params)
     assert "det_fn" not in {f.tag for f in report.findings}
+
+
+@pytest.mark.parametrize("alpha", [0, 1e-300])
+def test_the_empty_pei_inverse_is_empty(alpha):
+    # the closed formula divides by alpha (alpha + n), which underflows to 0 at n = 0
+    assert tmat.inverse(construct("pei", n=0, alpha=alpha, scalar_kind=FLOAT64)).dims == (0, 0)
+
+
+def test_the_audit_of_pei_at_order_0_finds_no_failure():
+    (report,) = tmat.audit("pei", [2], params={"n": 0})
+    assert "fail" not in {f.verdict for f in report.findings}

@@ -148,12 +148,12 @@ def test_is_posdef_never_scans_a_family_with_a_symmetric_predicate(family, monke
 
 @pytest.mark.parametrize("n", [14, 15, 16])
 def test_is_posdef_of_rational_cauchy_is_exact(n):
-    # positive definite, but cond2 is beyond 1/u: float Cholesky fails from n = 14
+    # positive definite, but cond2 is beyond 1/u: a float pivot is not positive from n = 14
     assert get_family("cauchy").predicates.get("posdef") is None
     assert is_posdef(construct("cauchy", n=n)) is True
 
 
-def test_is_posdef_of_float_cauchy_is_cholesky():
+def test_is_posdef_of_float_cauchy_is_the_leading_pivot_pass():
     assert is_posdef(construct("cauchy", n=13, scalar_kind=FLOAT64)) is True
     assert is_posdef(construct("cauchy", n=14, scalar_kind=FLOAT64)) is False
 
@@ -163,6 +163,7 @@ def test_is_posdef_retries_on_the_float_twin_when_an_entry_overflows():
     assert is_posdef(construct("cauchy", x=x, y=x)) is True
 
 
+@pytest.mark.parametrize("kind", [RATIONAL64, FLOAT64])
 @pytest.mark.parametrize(
     "table, want",
     [
@@ -173,11 +174,12 @@ def test_is_posdef_retries_on_the_float_twin_when_an_entry_overflows():
         ([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], False),  # leading minors -1, 1, 1
     ],
 )
-def test_is_posdef_of_a_rational_user_matrix_reads_its_leading_minors(table, want):
+def test_is_posdef_of_a_rational_user_matrix_reads_its_leading_minors(table, want, kind):
+    # the tables are exact in float64 too, and give the same verdicts there
     register_family(
         FamilyDescriptor("table", (ParamSpec("n", "dim"),), RATIONAL64, ("symmetric",)),
         lambda p, i, j, kind: (Rational64 if kind == RATIONAL64 else float)(table[i - 1][j - 1]),
     )
-    h = construct("table", n=3)
+    h = construct("table", n=3, scalar_kind=kind)
     assert is_symmetric(h) is True
     assert is_posdef(h) is want is _posdef_oracle(frac_rows(h))

@@ -195,7 +195,7 @@ def test_wrong_closed_det_fails_det_audit(base):
         ("lehmer", None, "posdef", False),
         ("pei", {"alpha": 0}, "posdef", True),  # ones: a zero leading minor
         ("pei", {"alpha": -4}, "posdef", True),  # a negative leading minor
-        ("kms", {"rho": 1.5}, "posdef", True),  # float64, by Cholesky
+        ("kms", {"rho": 1.5}, "posdef", True),  # float64, by the leading-pivot LU
         ("minij", None, "diagonal", True),
     ],
 )

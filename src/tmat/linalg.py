@@ -215,7 +215,8 @@ def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop=False, firsts=F
     elimination ends at the first skipped column, for callers needing full rank.
     leading=True takes no pivot below row r, so no rows are exchanged and
     pivot k is the leading principal minor of order k + 1 over that of order
-    k: for a symmetric matrix, the squared diagonal of Cholesky's factor.
+    k: for a symmetric matrix, the squared diagonal of Cholesky's factor. It
+    ends at the first pivot that is not a positive finite real, as skipped.
     """
     a = rows
     m = len(a)
@@ -231,10 +232,11 @@ def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop=False, firsts=F
             mag = abs(a[i][c])
             if mag > best_mag:
                 best, best_mag = i, mag
-        if not best_mag > tol:
+        pivot = a[best][c]
+        if not best_mag > tol or leading and (pivot.imag or not 0 < pivot.real < inf):
             if skipped is None:
                 skipped = c
-            if stop:
+            if stop or leading:
                 break
             continue
         if best != r:
@@ -242,7 +244,6 @@ def _lu_factor(rows: list[list], ncols: int, tol: float, *, stop=False, firsts=F
             perm[r], perm[best] = perm[best], perm[r]
             sign = -sign
         pivot_row = a[r]
-        pivot = pivot_row[c]
         right = min(ncols, c + p + q + 1)
         for row in a[r + 1:below]:
             if row[c] == 0:
@@ -811,29 +812,28 @@ def _certifies_full_rank(h: MatrixHandle, d: DenseMatrix) -> bool:
 def cond1(h: MatrixHandle) -> float:
     """1-norm condition number ||A||_1 ||A^-1||_1 of the float64 twin, ||A^-1||_1
     from its closed inverse in O(n^2) where that norm is positive and finite,
-    else from the LU inverse. A matrix that LU finds singular yields +inf,
-    or NaN where ||A||_1 is NaN, as a NaN entry makes it. The dimension is
-    capped at COND1_DIM_BOUND: explicit inversion is for desk-scale diagnostics.
+    else from the LU inverse, which is for desk-scale diagnostics: refused past
+    COND1_DIM_BOUND before anything is materialized. A singular matrix yields
+    +inf, or NaN where ||A||_1 is NaN, as a NaN entry makes it.
     """
     _require_square(h, "cond1")
     n = h.rows
     if n == 0:
         return 0.0
-    if n > COND1_DIM_BOUND:
-        raise UnsupportedOperationError(
-            f"cond1 is limited to dimension <= {COND1_DIM_BOUND}, got {n}"
-        )
     twin = _float_twin(h)
-    dense = materialize(twin)
-    norm = _norm1(dense)
+    dense = None
     try:
         inv = _closed_inverse(twin)
         norm_inv = inf if inv is None else _norm1(as_dense(inv))
         if not 0 < norm_inv < inf:  # lost entries (see _closed_solve), or NaN
+            if n > COND1_DIM_BOUND:
+                raise UnsupportedOperationError(f"cond1 is limited to dimension <= {COND1_DIM_BOUND}, got {n}")
+            dense = materialize(twin)
             norm_inv = _norm1(inverse_dense(dense))
     except SingularMatrixError:
-        return nan if isnan(norm) else inf
-    return norm * norm_inv
+        norm_inv = inf
+    norm = _norm1(materialize(twin) if dense is None else dense)
+    return norm * norm_inv if norm else inf  # the zero matrix is singular: not 0 * inf
 
 
 def _norm1(d: DenseMatrix) -> float:

@@ -5,11 +5,13 @@ rendering (the shortest representation that round-trips float64). Rational
 entries are converted to decimal, with a provenance comment recording the
 original scalar kind since the format has no rational field. The reader
 supports `array real general` and `array real symmetric` files, for round-trip
-testing. A square matrix whose family declares the O(1) `symmetric`
-predicate true has only its diagonal and lower triangle formatted
-(`_mirrored`; in `export_array`, while its columns are whole). A path naming
-a regular file, or nothing yet, is replaced only once the whole matrix is
-written (`_sink`).
+testing; it parses chunks of whole lines (`_chunks`), holding no list of every
+line. A square matrix whose family declares the O(1) `symmetric` predicate
+true has only its diagonal and lower triangle formatted (`_mirrored`; in
+`export_array`, while its columns are whole), and `export_coordinate` joins
+each of its rows into one string once the row's column has passed. A path
+naming a regular file, or nothing yet, is replaced only once the whole matrix
+is written (`_sink`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import os
 import stat
 from contextlib import contextmanager, suppress
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .core import DenseMatrix, MatrixHandle, columns
 from .errors import MatrixMarketError
@@ -28,6 +30,8 @@ BANNER = "%%MatrixMarket"
 # export_array holds at most this many texts for mirrored entries (about 20 MB of
 # float texts); without mirroring it holds one column's
 MIRROR_TEXTS = 1 << 18
+# import_array parses the value lines in chunks of about this many characters
+CHUNK_CHARS = 1 << 16
 
 
 def format_value(x: float) -> str:
@@ -102,15 +106,10 @@ def export_array(h: MatrixHandle, sink, *, symmetric: bool = False) -> None:
     """Write the dense array format: size line `m n`, then the entries in
     column-major order, one per line. With symmetric=True only the lower
     triangle (j <= i) is stored and the header carries the qualifier."""
-    symmetry = "general"
-    if symmetric:
-        if h.rows != h.cols or not is_symmetric(h):
-            raise MatrixMarketError(
-                "the symmetric qualifier requires a square symmetric matrix"
-            )
-        symmetry = "symmetric"
+    if symmetric and (h.rows != h.cols or not is_symmetric(h)):
+        raise MatrixMarketError("the symmetric qualifier requires a square symmetric matrix")
     with _sink(sink) as out:
-        for line in _header_lines(h, "array", symmetry):
+        for line in _header_lines(h, "array", "symmetric" if symmetric else "general"):
             out.write(line + "\n")
         out.write(f"{h.rows} {h.cols}\n")
         for j, first, texts in _column_texts(h, symmetric):
@@ -130,6 +129,7 @@ def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
     mirrored = _mirrored(h, zero_tol)  # row j is column j: its lines are made as column j passes
     labels = [f"{k} " for k in range(max(h.rows, h.cols) + 1)]
     by_row = [[] for _ in range(h.rows + 1)]
+    nnz = 0  # the lines of the rows already joined
     # zero_tol < 0 keeps every entry, out-of-band zeros too; otherwise no zero is kept
     for j, first, values in columns(h, full=zero_tol < 0):
         start = max(first, j) if mirrored else first
@@ -141,10 +141,13 @@ def export_coordinate(h: MatrixHandle, sink, zero_tol: float = 0.0) -> None:
                 by_row[i].append(f"{labels[i]}{lj}{t}\n")
                 if mirrored and i > j:  # the mirror (j, i) reuses the text
                     by_row[j].append(f"{lj}{labels[i]}{t}\n")
+        if mirrored:  # row j is complete, its lines left of column j made by earlier columns
+            nnz += len(by_row[j])
+            by_row[j] = ["".join(by_row[j])]
     with _sink(sink) as out:
         for line in _header_lines(h, "coordinate", "general"):
             out.write(line + "\n")
-        out.write(f"{h.rows} {h.cols} {sum(map(len, by_row))}\n")
+        out.write(f"{h.rows} {h.cols} {nnz if mirrored else sum(map(len, by_row))}\n")
         for lines in by_row:
             out.write("".join(lines))
 
@@ -156,10 +159,21 @@ def _read_text(source) -> str:
         return handle.read()
 
 
+def _chunks(text: str):
+    """text.splitlines() as lists of whole lines, each cut just after the first "\n"
+    past CHUNK_CHARS characters: no "\r\n" is split, so the lists join to the whole."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
 def import_array(source) -> DenseMatrix:
     """Parse an `array real general|symmetric` file into a float64 DenseMatrix."""
-    lines = _read_text(source).splitlines()
-    if not lines:
+    chunks = _chunks(_read_text(source))
+    lines = next(chunks, None)
+    if lines is None:
         raise MatrixMarketError("empty file (line 1)")
     tokens = lines[0].split()
     if len(tokens) != 5 or tokens[0] != BANNER or tokens[1].lower() != "matrix":
@@ -172,34 +186,34 @@ def import_array(source) -> DenseMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry '{symmetry}' (line 1)")
 
-    # (number, text) of each line after the header that is neither blank nor a comment
-    content = (
-        (k, raw) for k, raw in enumerate(lines[1:], 2) if raw.strip()[:1] not in ("", "%")
-    )
-    number, raw = next(content, (len(lines), None))
-    if raw is None:
-        raise MatrixMarketError(f"missing size line (after line {number})")
-    parts = raw.split()
-    if len(parts) != 2:
-        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}")
-    try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MatrixMarketError(f"malformed size line (line {number}): {raw!r}") from None
-    if m < 0 or n < 0:
-        raise MatrixMarketError(f"negative dimensions (line {number})")
-
-    # float(line) is what the loop appends for a value line, and float refuses
-    # a blank line, a comment and a malformed value: only then does the loop run
-    try:
-        values = list(map(float, lines[number:]))
-    except ValueError:
-        values = []
-        for number, raw in content:
+    values, size, number = [], None, 1  # number: the lines read so far
+    for lines in chain([lines[1:]], chunks):
+        start, number = number, number + len(lines)
+        # (number, text) of each line that is neither blank nor a comment
+        content = ((k, raw) for k, raw in enumerate(lines, start + 1) if raw.strip()[:1] not in ("", "%"))
+        if size is None:  # the first such line after the header is the size line
+            at, size = next(content, (number, None))
+            if size is None:
+                continue
             try:
-                values.append(float(raw))
+                m, n = map(int, size.split())  # two integers, or ValueError
             except ValueError:
-                raise MatrixMarketError(f"malformed value (line {number}): {raw!r}") from None
+                raise MatrixMarketError(f"malformed size line (line {at}): {size!r}") from None
+            if m < 0 or n < 0:
+                raise MatrixMarketError(f"negative dimensions (line {at})")
+            lines = lines[at - start:]
+        # float(line) is what the loop appends for a value line, and float refuses
+        # a blank line, a comment and a malformed value: only then does the loop run
+        try:
+            values += list(map(float, lines))
+        except ValueError:
+            for at, raw in content:
+                try:
+                    values.append(float(raw))
+                except ValueError:
+                    raise MatrixMarketError(f"malformed value (line {at}): {raw!r}") from None
+    if size is None:
+        raise MatrixMarketError(f"missing size line (after line {number})")
 
     if symmetry == "symmetric":
         if m != n:
@@ -209,7 +223,7 @@ def import_array(source) -> DenseMatrix:
         expected = m * n
     if len(values) < expected:
         raise MatrixMarketError(
-            f"unexpected end of data: {len(values)} of {expected} values (after line {len(lines)})"
+            f"unexpected end of data: {len(values)} of {expected} values (after line {number})"
         )
     if len(values) > expected:
         raise MatrixMarketError(f"trailing data: expected {expected} values, got {len(values)}")
@@ -217,11 +231,7 @@ def import_array(source) -> DenseMatrix:
     if symmetry == "general":
         return DenseMatrix(m, n, values, FLOAT64)
     data = [0.0] * (m * n)
-    k = 0
-    for j in range(1, n + 1):
-        for i in range(j, m + 1):
-            v = values[k]
-            k += 1
-            data[(j - 1) * m + (i - 1)] = v
-            data[(i - 1) * m + (j - 1)] = v
+    for j in range(n):  # the lower triangle's column j is also row j of the upper one
+        k = j * n - j * (j - 1) // 2  # the values of columns 0 .. j - 1 come first
+        data[j * n + j:(j + 1) * n] = data[j * n + j::n] = values[k:k + n - j]
     return DenseMatrix(m, n, data, FLOAT64)

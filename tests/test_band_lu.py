@@ -36,10 +36,11 @@ def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False, leading=Fals
             mag = abs(a[i][c])
             if mag > best_mag:
                 best, best_mag = i, mag
-        if not best_mag > tol:
+        pivot = a[best][c]
+        if not best_mag > tol or leading and (pivot.imag or not 0 < pivot.real < math.inf):
             if skipped is None:
                 skipped = c
-            if stop:
+            if stop or leading:
                 break
             continue
         if best != r:
@@ -47,7 +48,6 @@ def _dense_lu_factor(rows, ncols, tol, *, stop=False, firsts=False, leading=Fals
             perm[r], perm[best] = perm[best], perm[r]
             sign = -sign
         pivot_row = a[r]
-        pivot = pivot_row[c]
         for row in a[r + 1:]:
             if row[c] == 0:
                 continue
@@ -229,6 +229,16 @@ def test_the_leading_pivot_pass_equals_the_dense_kernel(system, stop):
     got = _lu_factor([r[:] for r in rows], n, 0.0, stop=stop, leading=True)
     want = _dense_lu_factor([r[:] for r in rows], n, 0.0, stop=stop, leading=True)
     assert _same(got[:5], want[:5]), (got, want)
+
+
+def test_the_leading_pivot_pass_ends_at_the_first_pivot_not_positive():
+    # the second pivot is 1 - 2 * 2 = -3: the third row is left as it was
+    for stop in (False, True):
+        rows = [[1.0, 2.0, 0.0], [2.0, 1.0, 5.0], [0.0, 5.0, -1.0]]
+        a, _, _, rank, skipped, _ = _lu_factor(rows, 3, 0.0, stop=stop, leading=True)
+        assert (rank, skipped, a[2]) == (1, 1, [0.0, 5.0, -1.0])
+    for pivot in (-1.0, 0.0, -0.0, math.nan, math.inf, 2j, complex(1.0, 1e-300)):
+        assert _lu_factor([[pivot, 1.0], [1.0, 1.0]], 2, 0.0, leading=True)[3:5] == (0, 0)
 
 
 def test_lu_stops_at_the_first_skipped_column_only_when_asked():

@@ -9,6 +9,7 @@ the exact answer: at most c * n * u * cond1.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, inf, ulp
 
 import pytest
@@ -27,7 +28,8 @@ from tmat import (
     materialize,
     solve,
 )
-from tmat.linalg import _closed_solve, solve_dense
+from tmat import linalg
+from tmat.linalg import COND1_DIM_BOUND, _closed_solve, solve_dense
 
 EXACT = settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 U = 2.0**-53
@@ -246,3 +248,45 @@ def test_float_closed_solve_forward_error_is_bounded_by_cond1(family):
 def test_cond1_of_hilbert_4_is_exact():
     # ||H||_1 = 25/12 and ||H^-1||_1 = 13620; LU gave 28374.99...
     assert cond1(construct("hilbert", n=4, scalar_kind=FLOAT64)) == pytest.approx(28375, rel=1e-13)
+
+
+# -- cond1: the closed route has no cap, the LU route does --------------------------
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.9, 0.0])
+def test_cond1_past_the_cap_answers_from_the_closed_inverse(rho):
+    # ||X||_1 = (1 + |rho|) / (1 - |rho|) from the tridiagonal inverse (n >= 3),
+    # ||A||_1 the largest column sum of |rho|^|i - j|
+    n = 200
+    r = abs(Fraction(rho))
+    partial = list(accumulate(r**k for k in range(n)))  # partial[m] = 1 + r + ... + r^m
+    norm = max(partial[j] + partial[n - 1 - j] - 1 for j in range(n))  # column j + 1
+    exact = norm * (1 + r) / (1 - r)
+    assert cond1(construct("kms", n=n, rho=rho, scalar_kind=FLOAT64)) == pytest.approx(float(exact), rel=C * n * U)
+
+
+def test_cond1_without_a_closed_inverse_is_refused_before_materializing(monkeypatch):
+    made = []
+    monkeypatch.setattr(linalg, "materialize", lambda h: made.append(h))
+    n = COND1_DIM_BOUND + 1
+    with pytest.raises(UnsupportedOperationError, match=f"dimension <= {COND1_DIM_BOUND}, got {n}"):
+        cond1(construct("wilkinson", n=n))
+    assert made == []
+
+
+ROUTE_CASES = [("minij", {}), ("lehmer", {}), ("kms", {"rho": -0.5}), ("kms", {"rho": 0.99}), ("pei", {"alpha": 0.1}),
+               ("pei", {"alpha": -7.5}), ("forsythe", {"alpha": 1e-3, "lambda": 0})]
+
+
+@pytest.mark.parametrize(
+    "family, params, n",
+    [(f, p, n) for f, p in ROUTE_CASES for n in (1, 2, 7, 20, COND1_DIM_BOUND)]
+    + [(f, {}, n) for f in ("hilbert", "inversehilbert") for n in (2, 7)],  # cond1 below 1/u
+)
+def test_cond1_closed_and_lu_routes_agree(family, params, n, monkeypatch):
+    h = construct(family, n=n, scalar_kind=FLOAT64, **params)
+    closed = cond1(h)
+    monkeypatch.setattr(linalg, "_closed_inverse", lambda h: None)
+    lu = cond1(h)
+    # each route's ||A^-1||_1 is within C * n * u * cond1 relative of the exact one
+    assert abs(closed - lu) <= C * n * U * closed * closed, (closed, lu)

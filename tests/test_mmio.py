@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -333,6 +334,126 @@ def test_user_families_declared_symmetric_match_the_oracle():
             h = construct(name, n=n)
             assert tmat.mmio._mirrored(h)
             _assert_writers_match_the_oracle(h)
+
+
+# -- the reader against a whole-text oracle ---------------------------------------------
+
+
+def _whole_text_import(text):
+    """import_array's data from text.splitlines() in one pass, or its error text."""
+    lines = text.splitlines()
+    content = [(k, raw) for k, raw in enumerate(lines[1:], 2) if raw.strip()[:1] not in ("", "%")]
+    if not content:
+        return f"missing size line (after line {len(lines)})"
+    (at, size), values = content[0], []
+    parts = size.split()
+    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        return f"malformed size line (line {at}): {size!r}"
+    m, n = map(int, parts)
+    if m < 0 or n < 0:
+        return f"negative dimensions (line {at})"
+    for k, raw in content[1:]:
+        try:
+            values.append(float(raw))
+        except ValueError:
+            return f"malformed value (line {k}): {raw!r}"
+    symmetric = lines[0].split()[4] == "symmetric"
+    expected = n * (n + 1) // 2 if symmetric else m * n
+    if len(values) < expected:
+        return f"unexpected end of data: {len(values)} of {expected} values (after line {len(lines)})"
+    if len(values) > expected:
+        return f"trailing data: expected {expected} values, got {len(values)}"
+    if not symmetric:
+        return values
+    data, lower = [0.0] * (n * n), iter(values)
+    for j in range(n):
+        for i in range(j, n):
+            data[j * n + i] = data[i * n + j] = next(lower)
+    return data
+
+
+def _import_outcome(text):
+    try:
+        return import_array(io.StringIO(text)).data
+    except MatrixMarketError as exc:
+        return str(exc)
+
+
+GENERAL = "%%MatrixMarket matrix array real general\n% c\n\n2 3\n1\n-2.5\n% mid\n\n3e-3\n 4 \n5\n6\n"
+SYMMETRIC = "%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n\n3\n4\n% x\n5\n6\n"
+
+
+def _reader_texts():
+    for text in (GENERAL, SYMMETRIC):
+        yield text
+        yield text.replace("\n", "\r\n")
+        yield text.replace("\n", "\r")
+        for sep in ("\x0c", "\x1c", "\u2028", "\x0c\n"):  # str.splitlines ends a line at each
+            yield text.replace("\n1\n", f"\n1{sep}").replace("\n5\n", f"\n{sep}5\n")
+        yield text.replace("\n5\n", "\n5,0\n")  # a malformed value
+        yield text.replace("\n6\n", "\n")  # one value short
+        yield text + "7\n"  # one value too many
+    yield GENERAL.replace("2 3\n", "2 3 4\n")
+    yield GENERAL.replace("2 3\n", "2 -3\n")
+    yield GENERAL[:GENERAL.index("2 3")]  # no size line
+
+
+def test_import_equals_the_whole_text_parse_at_every_cut(monkeypatch):
+    # every chunk size cuts somewhere else: after the header, in the comments,
+    # on a blank or comment line after the size line, just after a value line
+    texts = list(_reader_texts())
+    for chunk in range(1, max(map(len, texts)) + 2):
+        monkeypatch.setattr(tmat.mmio, "CHUNK_CHARS", chunk)
+        for text in texts:
+            assert _import_outcome(text) == _whole_text_import(text), (chunk, text)
+    assert _import_outcome(GENERAL.replace("\n5\n", "\n5,0\n")) == "malformed value (line 11): '5,0'"
+    assert _import_outcome(SYMMETRIC.replace("\n6\n", "\n")).endswith("5 of 6 values (after line 9)")
+
+
+def test_import_of_a_file_of_many_chunks_equals_the_whole_text_parse():
+    text = _export_bytes(construct("triw", n=300, scalar_kind=FLOAT64)).decode()
+    assert len(text) > 3 * tmat.mmio.CHUNK_CHARS
+    lines = text.splitlines()
+    late = len(lines) - 100  # a line of the last chunk
+    for variant in (
+        text,
+        text.replace("\n", "\r\n"),
+        "\n".join(lines[:late] + ["% late comment", "", *lines[late:]]),
+        "\n".join(lines[:late] + ["-1x", *lines[late + 1:]]),
+        "\n".join(lines[:late]),
+    ):
+        assert _import_outcome(variant) == _whole_text_import(variant)
+    assert _import_outcome("\n".join(lines[:late] + ["-1x"])) == f"malformed value (line {late + 1}): '-1x'"
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class _Discard:
+    """A sink that keeps nothing: from Python 3.12 on, tracemalloc also
+    counts the copy of the text that an io.StringIO sink makes."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_mirrored_coordinate_export_holds_joined_rows():
+    # one string per finished row, not per line: with a string per line, the
+    # 4.2M characters of lehmer n = 400 peaked at 11.5-12.8 MB
+    h = construct("lehmer", n=400, scalar_kind=FLOAT64)
+    assert _traced_peak_mb(lambda: export_coordinate(h, _Discard())) < 8
+
+
+def test_import_holds_no_list_of_every_line():
+    # the text, the values and one chunk's lines: 13.4-14.0 MB with a list of every line
+    text = _export_bytes(construct("triw", n=400, scalar_kind=FLOAT64)).decode()
+    assert _traced_peak_mb(lambda: import_array(io.StringIO(text))) < 10
 
 
 # -- a refused export leaves a path target as it was -------------------------------------
